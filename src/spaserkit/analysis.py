@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import equations_of_motion, integrate
 from .errors import (
@@ -59,6 +58,77 @@ def _require_resonant_drive(params: ModelParams, what: str) -> None:
             f"{what} assumes a resonant drive; got drive.delta_a = "
             f"{params.drive.delta_a!r} rad/s"
         )
+
+
+# --- bracketed root finding --------------------------------------------------
+
+
+def _brentq(f, xa: float, xb: float, *, xtol: float = 2e-12,
+            rtol: float = 8.881784197001252e-16) -> float:
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A statement-for-statement port of SciPy's ``brentq.c`` (Brent 1973,
+    ch. 4): same steps, same floating-point operations in the same order,
+    hence the same iterates.  Stops once the bracket half-width drops
+    below (xtol + rtol |x|) / 2, within SciPy's default budget of 100
+    iterations.  Unlike SciPy's wrapper it accepts ``xtol = 0`` (a purely
+    relative tolerance).
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(
+        f"Brent's method did not converge in 100 iterations (last x = {xcur!r})"
+    )
 
 
 # --- closed-form weak-field steady state -----------------------------------
@@ -215,14 +285,55 @@ def spasing_frequency_estimate(params: ModelParams) -> float:
     return (alpha * gain.omega21 + weight * plasmon.omega_n) / denom
 
 
+def _onset_frequency_roots(params: ModelParams) -> np.ndarray:
+    """Every real frequency at which the driven onset residual is real.
+
+    With delta = omega21 - nu the residual is N(delta) / D(delta), where
+    D = Gamma_n Gamma21 Gamma31 and N are cubics, so Im residual = 0 is
+    Im(N conj D) = 0: a real polynomial of degree <= 5 (the delta^6
+    terms cancel).  delta is scaled by |omega21 - omega_n| before the
+    coefficients are formed; unscaled they span ~30 decades and the
+    companion-matrix roots lose digits.  Requires a resonant drive,
+    omega21 != omega_n and a nonzero drive.  Returned in ascending order.
+    """
+    gain = params.gain
+    plasmon = params.plasmon
+    inv = steady_inversions_closed_form(params)
+    rates = complex_rates(params)
+    if rates.Gamma32.real == 0.0:
+        raise DegenerateParameterError(
+            "spasing condition undefined: Gamma32 vanishes with a nonzero drive"
+        )
+    detuning = gain.omega21 - plasmon.omega_n
+    s = abs(detuning)
+    # in units of s each rate is linear in x = delta / s: Gamma / s = i x + gamma / s
+    g21 = np.array([1j, rates.Gamma21.real / s])
+    g31 = np.array([1j, rates.Gamma31.real / s])
+    gn = np.array([1j, complex(plasmon.gamma_n / s, -detuning / s)])
+    wa2 = (params.drive.omega_a_rabi / s) ** 2
+    coupling = plasmon.n_p * (plasmon.omega_b_single / s) ** 2
+    den = np.convolve(np.convolve(gn, g21), g31)
+    num = -den
+    num[2:] += coupling * inv.n21_bar * g31 - wa2 * gn
+    num[3] += coupling * wa2 * inv.n32_bar / (rates.Gamma32.real / s)
+    im_poly = np.convolve(num, den.conj()).imag[1:]
+    x = np.roots(im_poly)
+    x = x.real[x.imag == 0.0]
+    return np.sort(gain.omega21 - s * x)
+
+
 def spasing_frequency(params: ModelParams) -> float:
     """Self-consistent spasing frequency.
 
     Returns the frequency at which the onset-balance residual is purely
-    real.  At zero drive this has the closed weighted-mean form; with a
-    drive the imaginary part is driven to zero numerically (root
-    bracketed around the frequency-pulling interval between the mode and
-    transition frequencies).
+    real.  At zero drive this has the closed weighted-mean form.  With a
+    drive, the real roots of Im residual = 0 come from a quintic
+    (:func:`_onset_frequency_roots`), and the choice among them is: the
+    root nearest :func:`spasing_frequency_estimate` inside the window
+    [lo - pad, hi + pad] around the frequency-pulling interval [lo, hi]
+    between the mode and transition frequencies, with pad starting at 5%
+    of hi - lo and growing fourfold up to six times.  Raises
+    :class:`ConvergenceError` when no root lies in the widest window.
     """
     _require_resonant_drive(params, "the spasing frequency")
     gain = params.gain
@@ -240,30 +351,18 @@ def spasing_frequency(params: ModelParams) -> float:
     except DegenerateParameterError:
         guess = 0.5 * (omega21 + omega_n)
 
-    def im_residual(nu: float) -> float:
-        return spasing_condition_residual(params, nu).imag
-
+    roots = _onset_frequency_roots(params)
     lo = min(omega21, omega_n)
     hi = max(omega21, omega_n)
-    span = hi - lo
-    pad = 0.05 * span
+    pad = 0.05 * (hi - lo)
     for _ in range(6):
-        grid = np.linspace(lo - pad, hi + pad, 129)
-        values = np.array([im_residual(nu) for nu in grid])
-        signs = np.sign(values)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        roots = [
-            brentq(im_residual, grid[i], grid[i + 1], xtol=1e-3, rtol=8.9e-16)
-            for i in flips
-        ]
-        exact = grid[np.nonzero(values == 0.0)[0]]
-        roots.extend(float(nu) for nu in exact)
-        if roots:
-            return min(roots, key=lambda nu: abs(nu - guess))
+        inside = roots[(roots >= lo - pad) & (roots <= hi + pad)]
+        if inside.size:
+            return float(inside[np.argmin(np.abs(inside - guess))])
         pad *= 4.0
     raise ConvergenceError(
         "no spasing frequency found: the residual's imaginary part does not "
-        "change sign near the frequency-pulling interval"
+        "vanish near the frequency-pulling interval"
     )
 
 
@@ -485,7 +584,7 @@ def growth_rate(params: ModelParams) -> StabilityResult:
 class ThresholdResult:
     """Pump threshold estimates.
 
-    ``g_th`` comes from bisecting the onset-balance residual at the
+    ``g_th`` is the root of the onset-balance residual at the
     self-consistent frequency; ``g_th_growth`` from the sign change of
     the linear growth rate (None when the cross-check is skipped).
     """
@@ -516,10 +615,10 @@ def threshold_find(
     """Pump rate at which the zero-field state first loses net stability.
 
     Scans the bracket geometrically for the first sign change of the
-    onset-balance residual, then bisects it down to ``rel_tol`` relative
-    width.  With ``cross_check`` the same root is re-derived from the
-    linear growth rate and the two must agree within 1% (warning
-    otherwise).
+    onset-balance residual, then refines the root in that bracket by
+    Brent's method to ``rel_tol`` relative accuracy.  With
+    ``cross_check`` the same root is re-derived from the linear growth
+    rate and the two must agree within 1% (warning otherwise).
     """
     if g_bracket is None:
         g_bracket = (1e8, 1e15)
@@ -546,24 +645,11 @@ def threshold_find(
             residual_hi=values[-1],
         )
 
-    a, b = float(pair[0]), float(pair[1])
+    a, b = pair
     if a == b:
         g_th = a
     else:
-        fa = _residual_at_g(params, a)
-        while b - a > rel_tol * b:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            fm = _residual_at_g(params, mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        g_th = 0.5 * (a + b)
+        g_th = _brentq(lambda g: _residual_at_g(params, g), a, b, xtol=0.0, rtol=rel_tol)
 
     at_th = set_param(params, "gain.pump_g", g_th)
     nu_s = spasing_frequency(at_th)
@@ -572,21 +658,19 @@ def threshold_find(
     g_growth: float | None = None
     gap: float | None = None
     if cross_check:
-        width = max(0.02 * g_th, 2.0 * (b - a) if a != b else 0.02 * g_th)
+        width = 0.02 * g_th
         glo, ghi = max(lo, g_th - width), min(hi, g_th + width)
         flo, fhi = _growth_at_g(params, glo), _growth_at_g(params, ghi)
         if flo * fhi > 0.0:
             glo, ghi = lo, hi
             flo, fhi = _growth_at_g(params, glo), _growth_at_g(params, ghi)
         if flo * fhi <= 0.0:
-            g_growth = float(
-                brentq(lambda g: _growth_at_g(params, g), glo, ghi, rtol=8.9e-16)
-            )
+            g_growth = _brentq(lambda g: _growth_at_g(params, g), glo, ghi, rtol=8.9e-16)
             gap = abs(g_th - g_growth) / g_th
             if gap > 0.01:
                 warnings.warn(
                     f"threshold estimators disagree by {gap:.2%}: residual "
-                    f"bisection gives {g_th:.6e}, growth-rate root gives "
+                    f"root gives {g_th:.6e}, growth-rate root gives "
                     f"{g_growth:.6e} rad/s",
                     CrossCheckWarning,
                     stacklevel=2,
@@ -1132,7 +1216,7 @@ def calibrate_coupling(
         curve.append((float(coupling), math.nan if r is None else r))
 
     def refine(goal: float, w_lo: float, w_hi: float) -> float:
-        return float(brentq(lambda w: ratio(w) - goal, w_lo, w_hi, rtol=1e-8))
+        return _brentq(lambda w: ratio(w) - goal, w_lo, w_hi, rtol=1e-8)
 
     root = None
     for i in range(len(grid) - 1):

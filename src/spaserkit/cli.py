@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     helps = {
         "trajectory": "integrate the coupled equations in time",
         "steady-sweep": "steady-state operating point over a parameter grid",
-        "threshold": "pump threshold (residual bisection + growth-rate cross-check)",
+        "threshold": "pump threshold (residual root + growth-rate cross-check)",
         "stability": "linear growth rate of the zero-field state over a grid",
         "calibrate": "fit the coupling to the threshold-ratio target",
     }

@@ -200,18 +200,6 @@ class ComplexRates:
     Gamma32: complex
     Gamma_n: complex
 
-    @property
-    def Gamma21_tilde(self) -> float:
-        return self.Gamma21.real
-
-    @property
-    def Gamma31_tilde(self) -> float:
-        return self.Gamma31.real
-
-    @property
-    def Gamma32_tilde(self) -> float:
-        return self.Gamma32.real
-
 
 def complex_rates(params: ModelParams, nu: float | None = None) -> ComplexRates:
     """Coherence relaxation rates of the three transitions plus the plasmon.

@@ -6,13 +6,14 @@ import pytest
 
 from helpers import OMEGA_21, OMEGA_N, make_params
 from spaserkit.analysis import (
+    _onset_frequency_roots,
     frame_at_spasing_frequency,
     spasing_condition_residual,
     spasing_frequency,
     spasing_frequency_estimate,
 )
 from spaserkit.errors import DegenerateParameterError, NonResonantDriveError
-from spaserkit.params import complex_rates, default_params
+from spaserkit.params import complex_rates, default_params, set_param
 
 
 class TestUndrivenFrequency:
@@ -54,6 +55,39 @@ class TestDrivenFrequency:
             spasing_frequency(p), spasing_frequency(shifted), rel_tol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({"omega_a_rabi": 16e12}, 3801184801339804.0),
+            ({"omega_a_rabi": 16e12, "gamma_ph": 80e12}, 3800793596894829.5),
+        ],
+    )
+    def test_frozen_regression_values(self, kwargs, expected):
+        """Values of the former 129-point scan plus Brent refinement."""
+        assert spasing_frequency(default_params(**kwargs)) == expected
+
+    def test_nearest_root_to_the_estimate_wins(self):
+        """At a 1e12 rad/s drive and pump 10**12.5 rad/s the imaginary part
+        crosses zero three times; two of the crossings lie in the first
+        window around the pulling interval, and the one nearest the
+        weighted-mean estimate is the spasing frequency."""
+        p = set_param(default_params(omega_a_rabi=1e12), "gain.pump_g", 3162277660168.3794)
+        roots = _onset_frequency_roots(p)
+        assert len(roots) == 3
+        for nu in roots:
+            below = spasing_condition_residual(p, nu - 1e3).imag
+            above = spasing_condition_residual(p, nu + 1e3).imag
+            assert below * above < 0.0
+        pad = 0.05 * (OMEGA_21 - OMEGA_N)
+        window = roots[(roots >= OMEGA_N - pad) & (roots <= OMEGA_21 + pad)]
+        assert len(window) == 2
+        nu = spasing_frequency(p)
+        assert nu == 3801205569798383.5  # frozen regression value
+        other = window[window != nu]
+        assert other == pytest.approx([3.79813e15], rel=1e-5)
+        guess = spasing_frequency_estimate(p)
+        assert abs(nu - guess) < abs(other[0] - guess)
+
     def test_estimate_is_within_a_few_linewidths(self):
         p = default_params(omega_a_rabi=16e12)
         est = spasing_frequency_estimate(p)
@@ -79,6 +113,12 @@ class TestResidual:
                           pump_g=0.0)
         with pytest.raises(DegenerateParameterError):
             spasing_condition_residual(bad, OMEGA_21)
+
+    def test_degenerate_driven_rates_are_rejected(self):
+        bad = make_params(gamma21=0.0, gamma31=0.0, gamma32=0.0, gamma_ph=0.0,
+                          omega_a_rabi=4e12)
+        with pytest.raises(DegenerateParameterError):
+            spasing_frequency(bad)
 
     def test_detuned_drive_is_rejected(self):
         p = make_params(delta_a=1e12, omega_a_rabi=4e12)
