@@ -1,9 +1,19 @@
 """Steady-state, threshold, stability and calibration analysis.
 
 Everything here works on the same rotating-frame model as
-:mod:`spaserkit.dynamics`; the reduced algebraic system eliminates the
-trace (p3 = 1 - p1 - p2), leaving 10 real coordinates
-(p1, p2, Re/Im rho21, Re/Im rho31, Re/Im rho32, Re/Im a).
+:mod:`spaserkit.dynamics`.  The algebraic layer eliminates the trace
+(p3 = 1 - p1 - p2), leaving 10 real coordinates
+x = (p1, p2, Re/Im rho21, Re/Im rho31, Re/Im rho32, Re/Im a) on which
+the model is bilinear:
+
+    dx/dt = k + (m + Re a * nr + Im a * ni) @ x,
+
+with (k, m, nr, ni) built once per parameter set and frame by
+``dynamics._reduced_operator``.  The reduced right-hand side, its
+analytic Jacobian (the same matrix, plus nr @ x and ni @ x in the two
+field columns), the density-matrix solve at a fixed real field
+amplitude A, (m + A nr) x = -k on the first 8 rows and columns, and the
+weak-field background (that solve at A = 0) are all read off it.
 """
 
 from __future__ import annotations
@@ -15,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import equations_of_motion, integrate
+from .dynamics import (
+    _coeffs,
+    _pack_reduced,
+    _reduced_operator,
+    _unpack_reduced,
+    equations_of_motion,
+    integrate,
+)
 from .errors import (
     BookkeepingWarning,
     CalibrationError,
@@ -179,41 +196,20 @@ def _populations_from_inversions(n21: float, n32: float) -> tuple[float, float, 
 def weak_field_background(params: ModelParams) -> DensityMatrix3:
     """Steady state of the chromophore with the plasmon field held at zero.
 
-    Unlike the closed form this admits a detuned drive; the spasing-frame
-    coherences rho21 and rho31 relax to zero exactly, the rest follows a
-    linear solve.
+    Solves the density-matrix block of the reduced operator at a = 0, in
+    the frame of ``params``.  Unlike the closed form this admits a
+    detuned drive; the spasing-frame coherences rho21 and rho31 come out
+    zero.
     """
-    gain = params.gain
-    g = gain.pump_g
-    g21, g31, g32 = gain.gamma21, gain.gamma31, gain.gamma32
-    rates = complex_rates(params)
-    g32r, g32i = rates.Gamma32.real, rates.Gamma32.imag
-    wa = params.drive.omega_a_rabi
-
-    # unknowns: p1, p2, p3, Re rho32, Im rho32
-    rows = np.array(
-        [
-            [1.0, 1.0, 1.0, 0.0, 0.0],
-            [-g, g21, g31, 0.0, 0.0],
-            [g, 0.0, -(g31 + g32), 0.0, 2.0 * wa],
-            [0.0, 0.0, 0.0, -g32r, g32i],
-            [0.0, wa, -wa, -g32i, -g32r],
-        ]
-    )
-    rhs = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    scale = np.max(np.abs(rows), axis=1)
-    if not np.all(scale > 0.0):
-        raise DegenerateParameterError(
-            "weak-field steady state undefined for these rates"
-        )
     try:
-        sol = np.linalg.solve(rows / scale[:, None], rhs / scale)
+        x = _rho_block_solve(params, 0.0, params.frame.nu_ref)
     except np.linalg.LinAlgError as exc:
         raise DegenerateParameterError(
             f"weak-field steady state undefined for these rates: {exc}"
         ) from exc
-    p1, p2, p3, r32, i32 = (float(v) for v in sol)
-    return DensityMatrix3(p1=p1, p2=p2, p3=p3, rho32=complex(r32, i32))
+    # the decoupled rho21/rho31 rows solve to -0.0, which tables would print
+    # as -0; adding 0.0 turns it into 0.0
+    return _unpack_reduced(np.append(x, (0.0, 0.0)) + 0.0).rho
 
 
 # --- spasing condition and frequency ----------------------------------------
@@ -388,151 +384,29 @@ def frame_at_spasing_frequency(params: ModelParams) -> ModelParams:
 # --- reduced algebraic system (trace eliminated) ----------------------------
 
 
-def _reduced_coeffs(params: ModelParams, nu: float | None = None) -> tuple[float, ...]:
-    gain = params.gain
-    rates = complex_rates(params, nu=nu)
-    wb_single = params.plasmon.omega_b_single
-    return (
-        gain.pump_g,
-        gain.gamma21,
-        gain.gamma31,
-        gain.gamma32,
-        rates.Gamma21.real,
-        rates.Gamma21.imag,
-        rates.Gamma31.real,
-        rates.Gamma31.imag,
-        rates.Gamma32.real,
-        rates.Gamma32.imag,
-        params.drive.omega_a_rabi,
-        params.plasmon.gamma_n,
-        rates.Gamma_n.imag,
-        wb_single,
-        params.plasmon.n_p * wb_single,
-    )
-
-
-def _reduced_rhs_raw(x, c) -> np.ndarray:
-    (g, g21, g31, g32, G21r, G21i, G31r, G31i, G32r, G32i,
-     wa, gn, dn, wb1, npwb) = c
-    p1, p2, r21, i21, r31, i31, r32, i32, ar, ai = x
-    p3 = 1.0 - p1 - p2
-    br = wb1 * ar
-    bi = wb1 * ai
-    wb = 2.0 * (bi * r21 - br * i21)
-    wdrv = 2.0 * wa * i32
-    d12 = p1 - p2
-    return np.array(
-        [
-            -g * p1 + g21 * p2 + g31 * p3 + wb,
-            -g21 * p2 + g32 * p3 - wb - wdrv,
-            -G21r * r21 + G21i * i21 - bi * d12 - wa * i31,
-            -G21i * r21 - G21r * i21 + br * d12 + wa * r31,
-            -G31r * r31 + G31i * i31 - wa * i21 + bi * r32 + br * i32,
-            -G31i * r31 - G31r * i31 + wa * r21 + bi * i32 - br * r32,
-            -G32r * r32 + G32i * i32 + br * i31 - bi * r31,
-            -G32i * r32 - G32r * i32 + wa * (p2 - p3) - br * r31 - bi * i31,
-            -gn * ar + dn * ai - npwb * i21,
-            -dn * ar - gn * ai + npwb * r21,
-        ]
-    )
-
-
-def _reduced_jacobian_raw(x, c) -> np.ndarray:
-    (g, g21, g31, g32, G21r, G21i, G31r, G31i, G32r, G32i,
-     wa, gn, dn, wb1, npwb) = c
-    p1, p2, r21, i21, r31, i31, r32, i32, ar, ai = x
-    br = wb1 * ar
-    bi = wb1 * ai
-    d12 = p1 - p2
-    jac = np.zeros((10, 10))
-    # d p1 / dt
-    jac[0, 0] = -g - g31
-    jac[0, 1] = g21 - g31
-    jac[0, 2] = 2.0 * bi
-    jac[0, 3] = -2.0 * br
-    jac[0, 8] = -2.0 * wb1 * i21
-    jac[0, 9] = 2.0 * wb1 * r21
-    # d p2 / dt
-    jac[1, 0] = -g32
-    jac[1, 1] = -g21 - g32
-    jac[1, 2] = -2.0 * bi
-    jac[1, 3] = 2.0 * br
-    jac[1, 7] = -2.0 * wa
-    jac[1, 8] = 2.0 * wb1 * i21
-    jac[1, 9] = -2.0 * wb1 * r21
-    # d Re rho21 / dt
-    jac[2, 0] = -bi
-    jac[2, 1] = bi
-    jac[2, 2] = -G21r
-    jac[2, 3] = G21i
-    jac[2, 5] = -wa
-    jac[2, 9] = -wb1 * d12
-    # d Im rho21 / dt
-    jac[3, 0] = br
-    jac[3, 1] = -br
-    jac[3, 2] = -G21i
-    jac[3, 3] = -G21r
-    jac[3, 4] = wa
-    jac[3, 8] = wb1 * d12
-    # d Re rho31 / dt
-    jac[4, 3] = -wa
-    jac[4, 4] = -G31r
-    jac[4, 5] = G31i
-    jac[4, 6] = bi
-    jac[4, 7] = br
-    jac[4, 8] = wb1 * i32
-    jac[4, 9] = wb1 * r32
-    # d Im rho31 / dt
-    jac[5, 2] = wa
-    jac[5, 4] = -G31i
-    jac[5, 5] = -G31r
-    jac[5, 6] = -br
-    jac[5, 7] = bi
-    jac[5, 8] = -wb1 * r32
-    jac[5, 9] = wb1 * i32
-    # d Re rho32 / dt
-    jac[6, 4] = -bi
-    jac[6, 5] = br
-    jac[6, 6] = -G32r
-    jac[6, 7] = G32i
-    jac[6, 8] = wb1 * i31
-    jac[6, 9] = -wb1 * r31
-    # d Im rho32 / dt
-    jac[7, 0] = wa
-    jac[7, 1] = 2.0 * wa
-    jac[7, 4] = -br
-    jac[7, 5] = -bi
-    jac[7, 6] = -G32i
-    jac[7, 7] = -G32r
-    jac[7, 8] = -wb1 * r31
-    jac[7, 9] = -wb1 * i31
-    # d Re a / dt
-    jac[8, 3] = -npwb
-    jac[8, 8] = -gn
-    jac[8, 9] = dn
-    # d Im a / dt
-    jac[9, 2] = npwb
-    jac[9, 8] = -dn
-    jac[9, 9] = -gn
-    return jac
-
-
 def reduced_rhs(x, params: ModelParams, nu: float | None = None) -> np.ndarray:
     """Right-hand side on the 10 reduced coordinates
     (p1, p2, Re/Im rho21, Re/Im rho31, Re/Im rho32, Re/Im a)."""
-    return _reduced_rhs_raw(np.asarray(x, dtype=float), _reduced_coeffs(params, nu))
+    x = np.asarray(x, dtype=float)
+    k, m, nr, ni = _reduced_operator(_coeffs(params, nu))
+    return k + (m + x[8] * nr + x[9] * ni) @ x
 
 
 def reduced_jacobian(x, params: ModelParams, nu: float | None = None) -> np.ndarray:
     """Analytic 10x10 Jacobian of :func:`reduced_rhs`."""
-    return _reduced_jacobian_raw(np.asarray(x, dtype=float), _reduced_coeffs(params, nu))
+    x = np.asarray(x, dtype=float)
+    _, m, nr, ni = _reduced_operator(_coeffs(params, nu))
+    jac = m + x[8] * nr + x[9] * ni
+    jac[:, 8] += nr @ x
+    jac[:, 9] += ni @ x
+    return jac
 
 
-def _background_reduced(params: ModelParams) -> np.ndarray:
-    bg = weak_field_background(params)
-    return np.array(
-        [bg.p1, bg.p2, 0.0, 0.0, 0.0, 0.0, bg.rho32.real, bg.rho32.imag, 0.0, 0.0]
-    )
+def _rho_block_solve(params: ModelParams, amplitude: float, nu: float) -> np.ndarray:
+    """Chromophore steady state with the field held at a fixed real
+    amplitude: the 8 density-matrix coordinates solve a linear system."""
+    k, m, nr, _ = _reduced_operator(_coeffs(params, nu))
+    return np.linalg.solve((m + amplitude * nr)[:8, :8], -k[:8])
 
 
 # --- linear stability at the zero-field state --------------------------------
@@ -555,8 +429,8 @@ class StabilityResult:
 
 def growth_rate(params: ModelParams) -> StabilityResult:
     """Linear growth rate of the plasmon field about the zero-field state."""
-    x0 = _background_reduced(params)
-    jac = _reduced_jacobian_raw(x0, _reduced_coeffs(params))
+    x0 = _pack_reduced(SpaserState(rho=weak_field_background(params)))
+    jac = reduced_jacobian(x0, params)
     try:
         eigvals, eigvecs = np.linalg.eig(jac)
     except np.linalg.LinAlgError as exc:
@@ -731,20 +605,9 @@ def _rate_scale(params: ModelParams) -> float:
 
 
 def _scaled_residual_norm(x: np.ndarray, params: ModelParams, nu: float) -> float:
-    f = _reduced_rhs_raw(x, _reduced_coeffs(params, nu))
+    f = reduced_rhs(x, params, nu)
     amp = math.hypot(x[8], x[9])
     return float(np.max(np.abs(f))) / (_rate_scale(params) * (1.0 + amp))
-
-
-def _rho_block_solve(params: ModelParams, amplitude: float, nu: float) -> np.ndarray:
-    """Chromophore steady state with the field held at a fixed real
-    amplitude: the 8 density-matrix coordinates solve a linear system."""
-    c = _reduced_coeffs(params, nu)
-    x_probe = np.zeros(10)
-    x_probe[8] = amplitude
-    jac = _reduced_jacobian_raw(x_probe, c)[0:8, 0:8]
-    offset = _reduced_rhs_raw(x_probe, c)[0:8]
-    return np.linalg.solve(jac, -offset)
 
 
 def _gain_mismatch(params: ModelParams, amplitude: float, nu: float) -> np.ndarray:
@@ -833,16 +696,8 @@ def _spasing_newton(
     return None
 
 
-def _assemble_spasing_state(
-    params: ModelParams, amp: float, nu: float
-) -> np.ndarray:
-    rho = _rho_block_solve(params, amp, nu)
-    return np.concatenate([rho, [amp, 0.0]])
-
-
 def _spasing_stability(params: ModelParams, x: np.ndarray, nu: float) -> bool:
-    jac = _reduced_jacobian_raw(x, _reduced_coeffs(params, nu))
-    eigvals = np.linalg.eigvals(jac)
+    eigvals = np.linalg.eigvals(reduced_jacobian(x, params, nu))
     # the gauge (global phase) mode sits at zero; anything clearly above
     # it signals instability of the operating point
     tol = 1e-6 * _rate_scale(params)
@@ -901,7 +756,7 @@ def _relaxation_chunks(
 
 def _zero_branch_result(params: ModelParams, stable: bool) -> SteadyStateResult:
     bg = weak_field_background(params)
-    x = _background_reduced(params)
+    x = _pack_reduced(SpaserState(rho=bg))
     try:
         nu_s = spasing_frequency(params)
     except (NonResonantDriveError, DegenerateParameterError, ConvergenceError):
@@ -997,23 +852,15 @@ def steady_state_numeric(
         if root is None:
             continue
         amp, nu_s = root
-        x = _assemble_spasing_state(params, amp, nu_s)
-        p1, p2 = x[0], x[1]
-        p3 = 1.0 - p1 - p2
-        rho = DensityMatrix3(
-            p1=p1,
-            p2=p2,
-            p3=p3,
-            rho21=complex(x[2], x[3]),
-            rho31=complex(x[4], x[5]),
-            rho32=complex(x[6], x[7]),
-        )
+        x = np.append(_rho_block_solve(params, amp, nu_s), (amp, 0.0))
+        state = _unpack_reduced(x)
+        rho = state.rho
         result = SteadyStateResult(
             n_n=amp * amp,
-            n21=p2 - p1,
-            n32=p3 - p2,
+            n21=rho.p2 - rho.p1,
+            n32=rho.p3 - rho.p2,
             rho_ss=rho,
-            amplitude=complex(amp, 0.0),
+            amplitude=state.amplitude,
             nu_s=nu_s,
             residual_norm=_scaled_residual_norm(x, params, nu_s),
             method="algebraic-root",
@@ -1043,20 +890,7 @@ def steady_state_numeric(
     if math.isnan(nu_s):
         return _zero_branch_result(params, stable=stab.gamma_s <= 0.0)
     rho = state.rho
-    x = np.array(
-        [
-            rho.p1,
-            rho.p2,
-            rho.rho21.real,
-            rho.rho21.imag,
-            rho.rho31.real,
-            rho.rho31.imag,
-            rho.rho32.real,
-            rho.rho32.imag,
-            state.amplitude.real,
-            state.amplitude.imag,
-        ]
-    )
+    x = _pack_reduced(state)
     result = SteadyStateResult(
         n_n=state.n_n,
         n21=rho.p2 - rho.p1,

@@ -23,10 +23,11 @@ from dataclasses import replace
 
 from .analysis import (
     calibrate_coupling,
+    frame_at_spasing_frequency,
     growth_rate,
-    spasing_frequency,
     steady_state_numeric,
     threshold_find,
+    weak_field_background,
 )
 from .config import PRESETS, RunConfig, parse_config, resolved_config_dict
 from .dynamics import integrate
@@ -34,7 +35,6 @@ from .errors import CalibrationError, ConfigError, NoThresholdError, SpaserError
 from .params import ModelParams, set_param
 from .state import SpaserState
 from .tables import SweepTable, build_metadata, write_table
-from .analysis import weak_field_background
 
 __all__ = ["entry_point", "main"]
 
@@ -65,16 +65,6 @@ def _map_points(worker, tasks, n_workers: int) -> list:
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
-
-
-def _trajectory_frame(params: ModelParams, frame_auto: bool) -> ModelParams:
-    if not frame_auto:
-        return params
-    try:
-        nu = spasing_frequency(params)
-    except SpaserError:
-        nu = params.gain.omega21
-    return set_param(params, "frame.nu_ref", nu)
 
 
 # --- per-point workers (top level so they pickle) ----------------------------
@@ -217,7 +207,7 @@ def _cmd_trajectory(config: RunConfig) -> tuple[SweepTable, bool]:
             model = config.model
             if axis is not None:
                 model = set_param(model, axis.path, float(value))
-            params = _trajectory_frame(model, config.frame_auto)
+            params = frame_at_spasing_frequency(model) if config.frame_auto else model
             state0 = SpaserState(
                 rho=weak_field_background(params),
                 amplitude=complex(config.seed_amplitude, 0.0),

@@ -6,7 +6,10 @@ driven transition.  Only the independent real components are integrated
 (three populations, three complex coherences, complex field amplitude:
 11 real numbers), so Hermiticity of the density matrix is exact by
 construction and the trace is conserved by the algebra of the
-right-hand side.
+right-hand side.  The same equations on the 10 trace-eliminated
+coordinates, as a bilinear operator, come from ``_reduced_operator``;
+the analysis layer derives its right-hand side, Jacobian and linear
+solves from that.
 
 The stepper is an explicit Dormand–Prince 5(4) pair with FSAL and a
 PI step-size controller.  The plasmon loss rate is usually the fastest
@@ -62,10 +65,24 @@ def _unpack(y) -> SpaserState:
     )
 
 
-def _coeffs(params: ModelParams) -> tuple[float, ...]:
-    """Plain-float coefficient tuple consumed by :func:`_rhs`."""
+def _pack_reduced(state: SpaserState) -> np.ndarray:
+    """The 10 reduced coordinates: the packed state without p3."""
+    y = _pack(state)
+    return np.array(y[:2] + y[3:])
+
+
+def _unpack_reduced(x) -> SpaserState:
+    """Inverse of :func:`_pack_reduced`, with p3 = 1 - p1 - p2."""
+    x = [float(v) for v in x]
+    return _unpack(x[:2] + [1.0 - x[0] - x[1]] + x[2:])
+
+
+def _coeffs(params: ModelParams, nu: float | None = None) -> tuple[float, ...]:
+    """Plain-float coefficient tuple consumed by :func:`_rhs` and
+    :func:`_reduced_operator`; ``nu`` overrides ``params.frame.nu_ref``
+    (see :func:`~spaserkit.params.complex_rates`)."""
     gain = params.gain
-    rates = complex_rates(params)
+    rates = complex_rates(params, nu=nu)
     wb_single = params.plasmon.omega_b_single
     return (
         gain.pump_g,
@@ -80,7 +97,7 @@ def _coeffs(params: ModelParams) -> tuple[float, ...]:
         rates.Gamma32.imag,
         params.drive.omega_a_rabi,
         params.plasmon.gamma_n,
-        params.delta_n,
+        rates.Gamma_n.imag,
         wb_single,
         params.plasmon.n_p * wb_single,
     )
@@ -110,6 +127,54 @@ def _rhs(y, c) -> tuple[float, ...]:
         -gn * ar + dn * ai - npwb * i21,
         -dn * ar - gn * ai + npwb * r21,
     )
+
+
+def _reduced_operator(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The equations of :func:`_rhs` on the 10 reduced coordinates
+    x = (p1, p2, Re/Im rho21, Re/Im rho31, Re/Im rho32, Re/Im a),
+    p3 = 1 - p1 - p2, as the bilinear form
+
+        dx/dt = k + (m + Re a * nr + Im a * ni) @ x.
+
+    ``k`` is what the trace elimination leaves behind.  ``nr`` and ``ni``
+    carry the field couplings: they are nonzero only inside the 8x8
+    density-matrix block, and only at entries where ``m`` is zero.
+    Returns (k, m, nr, ni).
+    """
+    (g, g21, g31, g32, G21r, G21i, G31r, G31i, G32r, G32i,
+     wa, gn, dn, wb1, npwb) = c
+    k = np.zeros(10)
+    m = np.zeros((10, 10))
+    nr = np.zeros((10, 10))
+    ni = np.zeros((10, 10))
+    # dp1/dt = -g p1 + g21 p2 + g31 p3 + 2 wb1 Im(a conj(rho21))
+    k[0] = g31
+    m[0, 0], m[0, 1] = -g - g31, g21 - g31
+    nr[0, 3], ni[0, 2] = -2.0 * wb1, 2.0 * wb1
+    # dp2/dt = -g21 p2 + g32 p3 - 2 wb1 Im(a conj(rho21)) - 2 wa Im rho32
+    k[1] = g32
+    m[1, 0], m[1, 1], m[1, 7] = -g32, -g21 - g32, -2.0 * wa
+    nr[1, 3], ni[1, 2] = 2.0 * wb1, -2.0 * wb1
+    # d rho21/dt = -Gamma21 rho21 + i wb1 a (p1 - p2) + i wa rho31
+    m[2, 2], m[2, 3], m[2, 5] = -G21r, G21i, -wa
+    m[3, 2], m[3, 3], m[3, 4] = -G21i, -G21r, wa
+    nr[3, 0], nr[3, 1] = wb1, -wb1
+    ni[2, 0], ni[2, 1] = -wb1, wb1
+    # d rho31/dt = -Gamma31 rho31 + i wa rho21 - i wb1 a rho32
+    m[4, 3], m[4, 4], m[4, 5] = -wa, -G31r, G31i
+    m[5, 2], m[5, 4], m[5, 5] = wa, -G31i, -G31r
+    nr[4, 7], nr[5, 6] = wb1, -wb1
+    ni[4, 6], ni[5, 7] = wb1, wb1
+    # d rho32/dt = -Gamma32 rho32 + i wa (p2 - p3) - i wb1 conj(a) rho31
+    k[7] = -wa
+    m[6, 6], m[6, 7] = -G32r, G32i
+    m[7, 0], m[7, 1], m[7, 6], m[7, 7] = wa, 2.0 * wa, -G32i, -G32r
+    nr[6, 5], nr[7, 4] = wb1, -wb1
+    ni[6, 4], ni[7, 5] = -wb1, -wb1
+    # da/dt = -(gamma_n + i delta_n) a + i n_p wb1 rho21
+    m[8, 3], m[8, 8], m[8, 9] = -npwb, -gn, dn
+    m[9, 2], m[9, 8], m[9, 9] = npwb, -dn, -gn
+    return k, m, nr, ni
 
 
 def equations_of_motion(state: SpaserState, params: ModelParams) -> SpaserState:

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import OMEGA_B_CALIBRATED
+import spaserkit
 from spaserkit.analysis import growth_rate, steady_state_numeric, threshold_find
 from spaserkit.cli import entry_point
+from spaserkit.errors import RegimeWarning
 from spaserkit.params import default_params
 from spaserkit.tables import read_csv, read_json
 
@@ -65,6 +69,33 @@ class TestTrajectory:
         assert table.columns[0] == ("gain.pump_g", "rad/s")
         pumps = sorted(set(table.column("gain.pump_g")))
         assert pumps == [6e12, 8e12]
+
+    def test_auto_frame_without_spasing_frequency_warns_and_uses_omega21(
+        self, tmp_path
+    ):
+        """A detuned drive has no spasing frequency, so ``nu_ref: "auto"``
+        warns and rotates at omega21, exactly like an explicit omega21."""
+
+        def run(nu_ref):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "model": {
+                        "drive": {"omega_a_rabi": 4e12, "delta_a": 2e12},
+                        "frame": {"nu_ref": nu_ref},
+                    },
+                    "trajectory": {"t_end": 1e-13, "store_every": 50},
+                },
+            )
+            out = str(tmp_path / "traj.csv")
+            assert entry_point(["trajectory", "--config", cfg, "--out", out]) == 0
+            return read_csv(out).rows
+
+        with pytest.warns(RegimeWarning, match="spasing frequency unavailable"):
+            auto = run("auto")
+        explicit = run(default_params().gain.omega21)
+        assert len(auto) > 2
+        assert auto == explicit
 
 
 class TestSteadySweep:
@@ -281,8 +312,13 @@ class TestErrors:
 
 
 def test_console_script_is_installed():
+    # run the checkout under test even when the package is not installed
+    src = str(Path(spaserkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spaserkit", "--help"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -10,7 +10,7 @@ from spaserkit.analysis import (
     steady_inversions_closed_form,
     weak_field_background,
 )
-from spaserkit.errors import NonResonantDriveError
+from spaserkit.errors import DegenerateParameterError, NonResonantDriveError
 
 
 def random_rate_params(rng):
@@ -24,7 +24,7 @@ def random_rate_params(rng):
 
 def test_matches_independent_linear_solve_over_random_rates():
     """The printed formulas must agree with a direct solve of the
-    five-variable population/drive-coherence balance."""
+    reduced operator's density-matrix block at a = 0."""
     rng = np.random.default_rng(7)
     for _ in range(60):
         p = random_rate_params(rng)
@@ -89,3 +89,23 @@ def test_background_solve_handles_detuned_drive():
     # detuning throttles the drive's 3->2 drain, so the pumped level fills up
     resonant = weak_field_background(make_params(delta_a=0.0, omega_a_rabi=4e12))
     assert bg.p3 > resonant.p3
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        dict(gamma21=0.0, gamma31=0.0, gamma32=0.0, gamma_ph=0.0, pump_g=0.0),
+        dict(gamma21=0.0, gamma_ph=0.0, pump_g=0.0),
+    ],
+    ids=["nothing-relaxes", "levels-1-and-2-frozen"],
+)
+def test_background_solve_rejects_degenerate_rates(rates):
+    """Without a drive, these rates leave the background undetermined."""
+    with pytest.raises(DegenerateParameterError):
+        weak_field_background(make_params(omega_a_rabi=0.0, **rates))
+
+
+def test_background_fields_are_plain_numbers():
+    bg = weak_field_background(make_params(delta_a=2e12, omega_a_rabi=4e12))
+    assert all(type(v) is float for v in (bg.p1, bg.p2, bg.p3))
+    assert all(type(v) is complex for v in (bg.rho21, bg.rho31, bg.rho32))

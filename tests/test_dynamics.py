@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_params
-from spaserkit.analysis import reduced_jacobian, weak_field_background
+from helpers import OMEGA_21, make_params
+from spaserkit.analysis import reduced_jacobian, reduced_rhs, weak_field_background
 from spaserkit.dynamics import equations_of_motion, integrate
 from spaserkit.errors import IntegrationError, InvalidStateError
+from spaserkit.params import set_param
 from spaserkit.state import DensityMatrix3, SpaserState
 
 
@@ -88,6 +89,37 @@ class TestEquationsOfMotion:
         d = equations_of_motion(s, p)
         expected = -(p.plasmon.gamma_n + 1j * p.delta_n) * s.amplitude
         assert cmath.isclose(d.amplitude, expected, rel_tol=1e-14)
+
+    def test_matches_the_reduced_operator(self):
+        """The stepper's kernel and the reduced bilinear operator state the
+        same model: with p3 dropped they agree row by row in any frame, and
+        dp3 closes the trace."""
+        rng = np.random.default_rng(11)
+        p = driven_params(gamma_ph=3e13, delta_a=1.5e12)
+        for _ in range(50):
+            nu = OMEGA_21 + rng.uniform(-2e13, 2e13)
+            p1, p2, _ = rng.dirichlet(np.ones(3))
+            c = rng.uniform(-0.3, 0.3, size=6)
+            a = complex(*rng.uniform(-5.0, 5.0, size=2))
+            state = SpaserState(
+                rho=DensityMatrix3(
+                    p1=p1, p2=p2, p3=1.0 - p1 - p2, rho21=complex(c[0], c[1]),
+                    rho31=complex(c[2], c[3]), rho32=complex(c[4], c[5]),
+                ),
+                amplitude=a,
+            )
+            d = equations_of_motion(state, set_param(p, "frame.nu_ref", nu))
+            got = np.array([
+                d.rho.p1, d.rho.p2, d.rho.rho21.real, d.rho.rho21.imag,
+                d.rho.rho31.real, d.rho.rho31.imag, d.rho.rho32.real,
+                d.rho.rho32.imag, d.amplitude.real, d.amplitude.imag,
+            ])
+            x = np.array([p1, p2, *c, a.real, a.imag])
+            # per row: the constant term plus the magnitudes of all the others
+            scale = (np.abs(reduced_rhs(np.zeros(10), p, nu))
+                     + np.abs(reduced_jacobian(x, p, nu)) @ np.abs(x))
+            assert np.all(np.abs(got - reduced_rhs(x, p, nu)) <= 1e-13 * scale)
+            assert abs(d.rho.p1 + d.rho.p2 + d.rho.p3) <= 1e-13 * (scale[0] + scale[1])
 
 
 class TestIntegrator:
