@@ -81,7 +81,8 @@ def _require_resonant_drive(params: ModelParams, what: str) -> None:
 
 
 def _brentq(f, xa: float, xb: float, *, xtol: float = 2e-12,
-            rtol: float = 8.881784197001252e-16) -> float:
+            rtol: float = 8.881784197001252e-16,
+            fa: float | None = None, fb: float | None = None) -> float:
     """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
 
     A statement-for-statement port of SciPy's ``brentq.c`` (Brent 1973,
@@ -89,18 +90,23 @@ def _brentq(f, xa: float, xb: float, *, xtol: float = 2e-12,
     hence the same iterates.  Stops once the bracket half-width drops
     below (xtol + rtol |x|) / 2, within SciPy's default budget of 100
     iterations.  Unlike SciPy's wrapper it accepts ``xtol = 0`` (a purely
-    relative tolerance).
+    relative tolerance).  ``fa``/``fb``, when given, are the already known
+    values f(xa)/f(xb), which then are not evaluated again.
     """
 
-    def call(x: float) -> float:
-        fx = float(f(x))
+    def checked(x: float, fx) -> float:
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x!r} is NaN")
         return fx
 
+    def call(x: float) -> float:
+        return checked(x, f(x))
+
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = call(xpre) if fa is None else checked(xpre, fa)
+    fcur = call(xcur) if fb is None else checked(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -184,13 +190,6 @@ def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
            + 2.0 * (g - g21 - g31) * wa2) * m
     n32 = (g21 - g32) * g * gamma32_tilde * m
     return ClosedFormInversions(n21_bar=n21, n32_bar=n32, m_factor=m)
-
-
-def _populations_from_inversions(n21: float, n32: float) -> tuple[float, float, float]:
-    p1 = (1.0 - 2.0 * n21 - n32) / 3.0
-    p2 = (1.0 + n21 - n32) / 3.0
-    p3 = (1.0 + n21 + 2.0 * n32) / 3.0
-    return p1, p2, p3
 
 
 def weak_field_background(params: ModelParams) -> DensityMatrix3:
@@ -503,15 +502,12 @@ def threshold_find(
     n_scan = max(2, int(round(10.0 * math.log10(hi / lo))) + 1)
     grid = [float(g) for g in np.geomspace(lo, hi, n_scan)]
     values = [_residual_at_g(params, g) for g in grid]
-    pair = None
+    first = None
     for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            pair = (grid[i], grid[i])
+        if values[i] == 0.0 or values[i] * values[i + 1] < 0.0:
+            first = i
             break
-        if values[i] * values[i + 1] < 0.0:
-            pair = (grid[i], grid[i + 1])
-            break
-    if pair is None:
+    if first is None:
         raise NoThresholdError(
             "the onset-balance residual does not change sign over the pump "
             f"bracket [{lo:.3e}, {hi:.3e}] rad/s",
@@ -519,11 +515,13 @@ def threshold_find(
             residual_hi=values[-1],
         )
 
-    a, b = pair
-    if a == b:
-        g_th = a
+    if values[first] == 0.0:
+        g_th = grid[first]
     else:
-        g_th = _brentq(lambda g: _residual_at_g(params, g), a, b, xtol=0.0, rtol=rel_tol)
+        g_th = _brentq(
+            lambda g: _residual_at_g(params, g), grid[first], grid[first + 1],
+            xtol=0.0, rtol=rel_tol, fa=values[first], fb=values[first + 1],
+        )
 
     at_th = set_param(params, "gain.pump_g", g_th)
     nu_s = spasing_frequency(at_th)
@@ -539,7 +537,9 @@ def threshold_find(
             glo, ghi = lo, hi
             flo, fhi = _growth_at_g(params, glo), _growth_at_g(params, ghi)
         if flo * fhi <= 0.0:
-            g_growth = _brentq(lambda g: _growth_at_g(params, g), glo, ghi, rtol=8.9e-16)
+            g_growth = _brentq(
+                lambda g: _growth_at_g(params, g), glo, ghi, rtol=8.9e-16, fa=flo, fb=fhi
+            )
             gap = abs(g_th - g_growth) / g_th
             if gap > 0.01:
                 warnings.warn(

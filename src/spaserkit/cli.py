@@ -8,9 +8,11 @@ sweep grid, and emits a figure-ready CSV or JSON table.
 Exit codes: 0 — success; 2 — partial convergence (a table is still
 emitted with the unconverged rows flagged); 1 — config or usage error.
 
-Grid points are evaluated by independent workers sharing only the
-immutable config; rows are collected in lexicographic axis order, so
-output is bit-identical regardless of worker count.
+Grid points (for ``trajectory``, its axis values) are evaluated by
+independent workers sharing only the immutable config; rows and the
+``trajectory failed at`` messages are collected in lexicographic axis
+order, so output is bit-identical regardless of worker count.  Warnings
+raised inside a pool worker are printed by that worker.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+
+import numpy as np
 
 from .analysis import (
     calibrate_coupling,
@@ -115,6 +119,37 @@ def _stability_point(task) -> tuple:
         return head + (math.nan, math.nan, math.nan, math.nan)
 
 
+def _trajectory_point(task) -> list[tuple] | str:
+    """Rows of one axis value's run, or the message of the error that
+    stopped it."""
+    config, value = task
+    axis = config.axes[0] if config.axes else None
+    rel_tol = min(max(config.tol * 1e-2, 1e-12), 1e-6)
+    try:
+        model = config.model
+        if axis is not None:
+            model = set_param(model, axis.path, float(value))
+        params = frame_at_spasing_frequency(model) if config.frame_auto else model
+        state0 = SpaserState(
+            rho=weak_field_background(params),
+            amplitude=complex(config.seed_amplitude, 0.0),
+        )
+        traj = integrate(
+            state0,
+            params,
+            config.trajectory.t_end,
+            rel_tol=rel_tol,
+            abs_tol=rel_tol * 1e-2,
+            store_every=config.trajectory.store_every,
+        )
+    except SpaserError as exc:
+        return str(exc)
+    # t, N_n, p1, p2, p3, Re rho21, Im rho21, trace error
+    block = np.column_stack((traj.t, traj.n_n, traj.y[:, :5], traj.trace_error))
+    prefix: tuple = () if axis is None else (float(value),)
+    return [prefix + tuple(row) for row in block.tolist()]
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -197,48 +232,17 @@ def _cmd_trajectory(config: RunConfig) -> tuple[SweepTable, bool]:
         raise ConfigError("trajectory supports at most 1 sweep axis")
     axis = config.axes[0] if config.axes else None
     axis_values: tuple = axis.values if axis else (None,)
-    rel_tol = min(max(config.tol * 1e-2, 1e-12), 1e-6)
+    tasks = [(config, value) for value in axis_values]
+    results = _map_points(_trajectory_point, tasks, config.resolved_workers())
     rows: list[tuple] = []
     partial = False
-    for value in axis_values:
-        prefix: tuple = () if axis is None else (float(value),)
-        where = "the base point" if axis is None else f"{axis.path}={value}"
-        try:
-            model = config.model
-            if axis is not None:
-                model = set_param(model, axis.path, float(value))
-            params = frame_at_spasing_frequency(model) if config.frame_auto else model
-            state0 = SpaserState(
-                rho=weak_field_background(params),
-                amplitude=complex(config.seed_amplitude, 0.0),
-            )
-            traj = integrate(
-                state0,
-                params,
-                config.trajectory.t_end,
-                rel_tol=rel_tol,
-                abs_tol=rel_tol * 1e-2,
-                store_every=config.trajectory.store_every,
-            )
-        except SpaserError as exc:
-            print(f"trajectory failed at {where}: {exc}", file=sys.stderr)
+    for value, result in zip(axis_values, results):
+        if isinstance(result, str):
+            where = "the base point" if axis is None else f"{axis.path}={value}"
+            print(f"trajectory failed at {where}: {result}", file=sys.stderr)
             partial = True
-            continue
-        for i in range(len(traj.t)):
-            rho = traj.state(i).rho
-            rows.append(
-                prefix
-                + (
-                    traj.t[i],
-                    traj.n_n[i],
-                    rho.p1,
-                    rho.p2,
-                    rho.p3,
-                    rho.rho21.real,
-                    rho.rho21.imag,
-                    traj.trace_error[i],
-                )
-            )
+        else:
+            rows.extend(result)
     columns = (
         tuple(((axis.path, _axis_unit(axis.path)),) if axis else ())
         + (

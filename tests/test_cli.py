@@ -11,8 +11,10 @@ import pytest
 
 from helpers import OMEGA_B_CALIBRATED
 import spaserkit
+from spaserkit import cli
 from spaserkit.analysis import growth_rate, steady_state_numeric, threshold_find
 from spaserkit.cli import entry_point
+from spaserkit.dynamics import integrate
 from spaserkit.errors import RegimeWarning
 from spaserkit.params import default_params
 from spaserkit.tables import read_csv, read_json
@@ -96,6 +98,100 @@ class TestTrajectory:
         explicit = run(default_params().gain.omega21)
         assert len(auto) > 2
         assert auto == explicit
+
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "sweep": [
+                    {"path": "drive.omega_a_rabi", "values": [0.0, 12e12, 24e12]}
+                ],
+                "trajectory": {"t_end": 1e-14, "store_every": 1},
+            },
+        )
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            code = entry_point(
+                ["trajectory", "--config", cfg, "--preset", "fig4b",
+                 "--out", str(out), "--workers", workers]
+            )
+            assert code == 0
+            texts.append(
+                [l for l in out.read_text().splitlines()
+                 if not l.startswith("# timestamp")]
+            )
+        assert texts[0] == texts[1]
+        drives = {line.split(",")[0] for line in data_lines("\n".join(texts[0]))[1:]}
+        assert drives == {"0", "12000000000000", "24000000000000"}
+
+    def test_failed_points_are_reported_in_axis_order(self, tmp_path, capsys):
+        """Pump 0 with gamma21 = gamma_ph = 0 and no drive leaves the
+        weak-field background undefined; the other points still run."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {
+                    "gain": {"gamma21": 0.0, "gamma_ph": 0.0},
+                    "drive": {"omega_a_rabi": 0.0},
+                },
+                "sweep": [
+                    {"path": "gain.pump_g", "values": [0.0, 8e12, 0.0, 4e12]}
+                ],
+                "trajectory": {"t_end": 1e-14, "store_every": 10},
+            },
+        )
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            code = entry_point(
+                ["trajectory", "--config", cfg, "--preset", "fig4b",
+                 "--out", str(out), "--workers", workers]
+            )
+            runs.append((code, capsys.readouterr().err, data_lines(out.read_text())))
+        assert runs[0] == runs[1]
+        code, err, lines = runs[0]
+        assert code == 2
+        failures = err.splitlines()
+        assert len(failures) == 2
+        assert all(
+            f.startswith("trajectory failed at gain.pump_g=0.0: ") for f in failures
+        )
+        pumps = [line.split(",")[0] for line in lines[1:]]
+        assert pumps == ["8000000000000"] * 82 + ["4000000000000"] * 82
+
+    def test_rows_equal_the_per_step_states(self, tmp_path, monkeypatch):
+        """Each row is the stored step's state read field by field, so N_n
+        stays Re(a)^2 + Im(a)^2 of the stored amplitude."""
+        runs = []
+
+        def recording_integrate(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            runs.append(traj)
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        cfg = write_config(tmp_path, {"trajectory": {"t_end": 5e-15}})
+        out = str(tmp_path / "traj.csv")
+        assert entry_point(
+            ["trajectory", "--config", cfg, "--preset", "fig4b",
+             "--out", out, "--workers", "1"]
+        ) == 0
+        table = read_csv(out)
+        expected = []
+        for drive, traj in zip((0.0, 24e12), runs, strict=True):
+            for i in range(len(traj.t)):
+                rho = traj.state(i).rho
+                expected.append(
+                    (drive, traj.t[i], traj.n_n[i], rho.p1, rho.p2, rho.p3,
+                     rho.rho21.real, rho.rho21.imag, traj.trace_error[i])
+                )
+        assert len(expected) > 10
+
+        def bits(rows):
+            return [[float(x).hex() for x in row] for row in rows]
+
+        assert bits(table.rows) == bits(expected)
 
 
 class TestSteadySweep:

@@ -59,6 +59,15 @@ def test_matches_scipy_on_the_imaginary_onset_residual():
     assert ours == theirs
 
 
+@pytest.mark.parametrize("case", range(len(CLOSED_FORM)))
+def test_known_end_values_save_two_calls(case):
+    f, a, b = CLOSED_FORM[case]
+    root, xs = _iterates(_brentq, f, a, b)
+    known, known_xs = _iterates(_brentq, f, a, b, fa=f(a), fb=f(b))
+    assert known == root
+    assert known_xs == xs[2:]
+
+
 def test_purely_relative_tolerance():
     root = _brentq(lambda x: x * x - 2e24, 1e12, 2e12, xtol=0.0, rtol=1e-12)
     assert root == pytest.approx(math.sqrt(2.0) * 1e12, rel=1e-12)
