@@ -13,7 +13,10 @@ with (k, m, nr, ni) built once per parameter set and frame by
 analytic Jacobian (the same matrix, plus nr @ x and ni @ x in the two
 field columns), the density-matrix solve at a fixed real field
 amplitude A, (m + A nr) x = -k on the first 8 rows and columns, and the
-weak-field background (that solve at A = 0) are all read off it.
+weak-field background (that solve at A = 0) are all read off it.  The
+frame frequency nu enters only m, and linearly, so the steady-state
+Newton on (A, nu) builds the operator once and takes exact derivatives
+of that solve.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _REDUCED_OPERATOR_DNU,
     _coeffs,
     _pack_reduced,
     _reduced_operator,
@@ -192,6 +196,22 @@ def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
     return ClosedFormInversions(n21_bar=n21, n32_bar=n32, m_factor=m)
 
 
+def _background_block(op) -> np.ndarray:
+    """Density-matrix coordinates of the a = 0 steady state of the reduced
+    operator ``op`` = (k, m, nr, ni): m x = -k on the first 8 rows and
+    columns."""
+    k, m, _, _ = op
+    try:
+        x = np.linalg.solve(m[:8, :8], -k[:8])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateParameterError(
+            f"weak-field steady state undefined for these rates: {exc}"
+        ) from exc
+    # the decoupled rho21/rho31 rows solve to -0.0, which tables would print
+    # as -0; adding 0.0 turns it into 0.0
+    return x + 0.0
+
+
 def weak_field_background(params: ModelParams) -> DensityMatrix3:
     """Steady state of the chromophore with the plasmon field held at zero.
 
@@ -200,15 +220,8 @@ def weak_field_background(params: ModelParams) -> DensityMatrix3:
     detuned drive; the spasing-frame coherences rho21 and rho31 come out
     zero.
     """
-    try:
-        x = _rho_block_solve(params, 0.0, params.frame.nu_ref)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateParameterError(
-            f"weak-field steady state undefined for these rates: {exc}"
-        ) from exc
-    # the decoupled rho21/rho31 rows solve to -0.0, which tables would print
-    # as -0; adding 0.0 turns it into 0.0
-    return _unpack_reduced(np.append(x, (0.0, 0.0)) + 0.0).rho
+    x = _background_block(_reduced_operator(_coeffs(params)))
+    return _unpack_reduced(np.append(x, (0.0, 0.0))).rho
 
 
 # --- spasing condition and frequency ----------------------------------------
@@ -391,21 +404,20 @@ def reduced_rhs(x, params: ModelParams, nu: float | None = None) -> np.ndarray:
     return k + (m + x[8] * nr + x[9] * ni) @ x
 
 
-def reduced_jacobian(x, params: ModelParams, nu: float | None = None) -> np.ndarray:
-    """Analytic 10x10 Jacobian of :func:`reduced_rhs`."""
-    x = np.asarray(x, dtype=float)
-    _, m, nr, ni = _reduced_operator(_coeffs(params, nu))
+def _operator_jacobian(op, x: np.ndarray) -> np.ndarray:
+    """Jacobian of k + (m + x8 nr + x9 ni) @ x at x, for ``op`` = (k, m, nr, ni)."""
+    _, m, nr, ni = op
     jac = m + x[8] * nr + x[9] * ni
     jac[:, 8] += nr @ x
     jac[:, 9] += ni @ x
     return jac
 
 
-def _rho_block_solve(params: ModelParams, amplitude: float, nu: float) -> np.ndarray:
-    """Chromophore steady state with the field held at a fixed real
-    amplitude: the 8 density-matrix coordinates solve a linear system."""
-    k, m, nr, _ = _reduced_operator(_coeffs(params, nu))
-    return np.linalg.solve((m + amplitude * nr)[:8, :8], -k[:8])
+def reduced_jacobian(x, params: ModelParams, nu: float | None = None) -> np.ndarray:
+    """Analytic 10x10 Jacobian of :func:`reduced_rhs`."""
+    return _operator_jacobian(
+        _reduced_operator(_coeffs(params, nu)), np.asarray(x, dtype=float)
+    )
 
 
 # --- linear stability at the zero-field state --------------------------------
@@ -428,8 +440,9 @@ class StabilityResult:
 
 def growth_rate(params: ModelParams) -> StabilityResult:
     """Linear growth rate of the plasmon field about the zero-field state."""
-    x0 = _pack_reduced(SpaserState(rho=weak_field_background(params)))
-    jac = reduced_jacobian(x0, params)
+    op = _reduced_operator(_coeffs(params))
+    x0 = np.append(_background_block(op), (0.0, 0.0))
+    jac = _operator_jacobian(op, x0)
     try:
         eigvals, eigvecs = np.linalg.eig(jac)
     except np.linalg.LinAlgError as exc:
@@ -610,25 +623,58 @@ def _scaled_residual_norm(x: np.ndarray, params: ModelParams, nu: float) -> floa
     return float(np.max(np.abs(f))) / (_rate_scale(params) * (1.0 + amp))
 
 
-def _gain_mismatch(params: ModelParams, amplitude: float, nu: float) -> np.ndarray:
-    """Field-equation residual divided by the amplitude.
+def _gain_balance_block(params: ModelParams, nu0: float):
+    """(k, m, nr, dm) for :func:`_gain_balance`: the density-matrix block of
+    the reduced operator at nu0, with dm = gamma_n d m / d nu."""
+    k, m, nr, _ = _reduced_operator(_coeffs(params, nu0))
+    dm = params.plasmon.gamma_n * _REDUCED_OPERATOR_DNU[:8, :8]
+    return k[:8], m[:8, :8], nr[:8, :8], dm
 
-    The raw field residual vanishes identically on the zero-field line,
-    so Newton on it degenerates at small amplitudes; dividing by the
-    (gauge-even) amplitude removes that root family and leaves the
-    spasing branch as a simple root.  Returned in units of gamma_n.
+
+def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shift: float):
+    """Gain mismatch at field amplitude A and frame nu0 + gamma_n * shift.
+
+    ``block`` = (k, m, nr, dm) comes from :func:`_gain_balance_block`.
+    At (A, shift) the chromophore solves M rho = -k with
+    M = m + A nr + shift dm, which is exact because nu enters the
+    operator linearly.
+
+    The mismatch is the field-equation residual divided by the amplitude,
+    in units of gamma_n.  The raw field residual vanishes identically on
+    the zero-field line, so Newton on it degenerates at small amplitudes;
+    dividing by the (gauge-even) amplitude removes that root family and
+    leaves the spasing branch as a simple root.
+
+    Returns (f, rho, jacobian): the mismatch, the 8 density-matrix
+    coordinates and a function giving the exact Jacobian
+    ((df0/dA, df0/dshift), (df1/dA, df1/dshift)) at the same point, from
+    d rho / dA = -M^-1 nr rho and d rho / dshift = -M^-1 dm rho.  That
+    costs one more block solve, so callers ask for it only where needed.
     """
-    rho = _rho_block_solve(params, amplitude, nu)
+    k, m, nr, dm = block
+    mat = m + amplitude * nr + shift * dm
+    rho = np.linalg.solve(mat, -k)
     coupling = params.plasmon.n_p * params.plasmon.omega_b_single
     gamma_n = params.plasmon.gamma_n
-    delta_n = params.plasmon.omega_n - nu
-    r21, i21 = rho[2], rho[3]
-    return np.array(
+    delta_n = params.plasmon.omega_n - (nu0 + gamma_n * shift)
+    r21, i21 = float(rho[2]), float(rho[3])
+    f = np.array(
         [
             (-gamma_n - coupling * i21 / amplitude) / gamma_n,
             (-delta_n + coupling * r21 / amplitude) / gamma_n,
         ]
     )
+
+    def jacobian() -> tuple[tuple[float, float], tuple[float, float]]:
+        drho = np.linalg.solve(mat, -np.column_stack((nr @ rho, dm @ rho))).tolist()
+        kappa = coupling / (gamma_n * amplitude)
+        # delta_n falls by gamma_n per unit shift: the 1.0 in df1/dshift
+        return (
+            (-kappa * (drho[3][0] - i21 / amplitude), -kappa * drho[3][1]),
+            (kappa * (drho[2][0] - r21 / amplitude), 1.0 + kappa * drho[2][1]),
+        )
+
+    return f, rho, jacobian
 
 
 _AMP_FLOOR = 1e-8
@@ -636,63 +682,63 @@ _AMP_FLOOR = 1e-8
 
 def _spasing_newton(
     params: ModelParams, amp0: float, nu0: float, tol: float
-) -> tuple[float, float] | None:
+) -> tuple[float, float, np.ndarray] | None:
     """Damped Newton on (amplitude, frame frequency); None on failure.
 
-    Works on the scaled unknowns (A, (nu - nu0)/gamma_n) so the
-    finite-difference Jacobian is well conditioned.
+    Works on the scaled unknowns (A, (nu - nu0)/gamma_n), in which the
+    gain balance is of order one in both.  The reduced operator is built
+    once at nu0, where nu enters it linearly.  Every evaluation is one
+    8x8 block solve for the density matrix; an accepted iterate adds one
+    more, with two right-hand sides, for the exact Jacobian
+    (:func:`_gain_balance`).  Returns (A, nu, rho) with the 8
+    density-matrix coordinates solved at the root.
     """
     gamma_n = params.plasmon.gamma_n
+    block = _gain_balance_block(params, nu0)
     amp = max(abs(float(amp0)), _AMP_FLOOR)
     u = 0.0
 
-    def evaluate(a: float, shift: float) -> np.ndarray:
-        return _gain_mismatch(params, a, nu0 + gamma_n * shift)
-
-    # The finite-difference Jacobian and the block linear solve put a
-    # noise floor on the achievable residual; a stalled iterate this
-    # close to balance is a converged root, not a failure.
+    # The block linear solves put a rounding floor on the achievable
+    # residual; a stalled iterate this close to balance is a converged
+    # root, not a failure.
     stall_tol = max(tol, 1e-9)
 
     try:
-        f = evaluate(amp, u)
+        f, rho, jacobian = _gain_balance(params, block, nu0, amp, u)
     except np.linalg.LinAlgError:
         return None
     fn = float(np.max(np.abs(f)))
     for _ in range(80):
         if fn <= tol:
-            return amp, nu0 + gamma_n * u
-        d_amp = 1e-6 * (1.0 + amp)
-        d_u = 1e-6
-        try:
-            jac = np.empty((2, 2))
-            jac[:, 0] = (
-                evaluate(amp + d_amp, u) - evaluate(max(amp - d_amp, _AMP_FLOOR), u)
-            ) / (amp + d_amp - max(amp - d_amp, _AMP_FLOOR))
-            jac[:, 1] = (evaluate(amp, u + d_u) - evaluate(amp, u - d_u)) / (2.0 * d_u)
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
+            return amp, nu0 + gamma_n * u, rho
+        # the 2x2 Newton step J step = -f by Cramer's rule
+        (j00, j01), (j10, j11) = jacobian()
+        det = j00 * j11 - j01 * j10
+        if det == 0.0:
             return None
+        step_amp = (j01 * f[1] - j11 * f[0]) / det
+        step_u = (j10 * f[0] - j00 * f[1]) / det
         lam = 1.0
         while lam >= 1.0 / 1024.0:
-            amp_new = max(abs(amp + lam * step[0]), _AMP_FLOOR)
-            u_new = u + lam * step[1]
+            amp_new = max(abs(amp + lam * step_amp), _AMP_FLOOR)
+            u_new = u + lam * step_u
             try:
-                f_new = evaluate(amp_new, u_new)
+                trial = _gain_balance(params, block, nu0, amp_new, u_new)
             except np.linalg.LinAlgError:
                 lam *= 0.5
                 continue
-            fn_new = float(np.max(np.abs(f_new)))
+            fn_new = float(np.max(np.abs(trial[0])))
             if fn_new < fn * (1.0 - 1e-4 * lam) or fn_new <= tol:
-                amp, u, f, fn = amp_new, u_new, f_new, fn_new
+                amp, u, fn = amp_new, u_new, fn_new
+                f, rho, jacobian = trial
                 break
             lam *= 0.5
         else:
             if fn <= stall_tol:
-                return amp, nu0 + gamma_n * u
+                return amp, nu0 + gamma_n * u, rho
             return None
     if fn <= stall_tol:
-        return amp, nu0 + gamma_n * u
+        return amp, nu0 + gamma_n * u, rho
     return None
 
 
@@ -790,6 +836,20 @@ def _bookkeeping_check(result: SteadyStateResult) -> SteadyStateResult:
     return result
 
 
+def _seed_amplitudes(candidates: list[float]):
+    """Newton seeds sqrt(n f), f = 1, 0.1, 10, for each finite positive
+    plasmon-number estimate n in order, skipping any within 0.1% of an
+    earlier seed.  Lazy: most solves converge from the first seed."""
+    seeds: list[float] = []
+    for n_est in candidates:
+        if math.isfinite(n_est) and n_est > 0.0:
+            for factor in (1.0, 0.1, 10.0):
+                amp = math.sqrt(n_est * factor)
+                if all(abs(amp - s) > 1e-3 * amp for s in seeds):
+                    seeds.append(amp)
+                    yield amp
+
+
 def steady_state_numeric(
     params: ModelParams,
     branch_hint: str | None = None,
@@ -825,34 +885,28 @@ def steady_state_numeric(
     # seed ladder for the plasmon number
     candidates: list[float] = []
     if gain.pump_g > gain.gamma21 and plasmon.gamma_n > 0.0:
+        # the strong- and weak-drive saturation limits (limit_strong_drive,
+        # limit_weak_drive) without their regime warnings
         candidates.append(plasmon.n_p * (gain.pump_g - gain.gamma21) / (6.0 * plasmon.gamma_n))
-        if gain.gamma21 > 0.0:
-            candidates.append(
-                plasmon.n_p
-                * gain.gamma32
-                * (gain.pump_g - gain.gamma21)
-                / (2.0 * plasmon.gamma_n * gain.gamma21)
-            )
+        candidates.append(
+            plasmon.n_p
+            * gain.gamma32
+            * (gain.pump_g - gain.gamma21)
+            / (2.0 * plasmon.gamma_n * (gain.pump_g + 2.0 * gain.gamma32))
+        )
     if stab.gamma_s > 0.0:
         candidates.append(plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n))
     # near threshold the branch rises continuously from zero, so the
     # fixed point can sit at a tiny plasmon number
     candidates.extend([1.0, 100.0, 1e-2, 1e-4])
-    seeds: list[float] = []
-    for n_est in candidates:
-        if math.isfinite(n_est) and n_est > 0.0:
-            for factor in (1.0, 0.1, 10.0):
-                amp = math.sqrt(n_est * factor)
-                if all(abs(amp - s) > 1e-3 * amp for s in seeds):
-                    seeds.append(amp)
 
     newton_tol = 1e-12
-    for amp0 in seeds:
+    for amp0 in _seed_amplitudes(candidates):
         root = _spasing_newton(params, amp0, nu0, newton_tol)
         if root is None:
             continue
-        amp, nu_s = root
-        x = np.append(_rho_block_solve(params, amp, nu_s), (amp, 0.0))
+        amp, nu_s, rho = root
+        x = np.append(rho, (amp, 0.0))
         state = _unpack_reduced(x)
         rho = state.rho
         result = SteadyStateResult(
@@ -901,7 +955,7 @@ def steady_state_numeric(
         residual_norm=_scaled_residual_norm(x, params, nu_s),
         method="ode-relaxation",
         converged=True,
-        stable=True,
+        stable=_spasing_stability(params, x, nu_s),
         branch="spasing",
     )
     return _bookkeeping_check(result)

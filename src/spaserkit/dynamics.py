@@ -177,6 +177,16 @@ def _reduced_operator(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return k, m, nr, ni
 
 
+# d m / d nu of _reduced_operator, a constant: the frame frequency nu enters
+# only through Im Gamma21 = omega21 - nu (rows 2-3), Im Gamma31 =
+# delta_a + omega21 - nu (rows 4-5) and delta_n = omega_n - nu (rows 8-9),
+# each with slope -1.  k, nr and ni do not depend on nu.
+_REDUCED_OPERATOR_DNU = np.zeros((10, 10))
+_REDUCED_OPERATOR_DNU[[2, 4, 8], [3, 5, 9]] = -1.0
+_REDUCED_OPERATOR_DNU[[3, 5, 9], [2, 4, 8]] = 1.0
+_REDUCED_OPERATOR_DNU.flags.writeable = False
+
+
 def equations_of_motion(state: SpaserState, params: ModelParams) -> SpaserState:
     """Time derivative of a state, returned in the same container shape.
 

@@ -1,4 +1,4 @@
-"""Smoke runs of the gated benchmark workloads (``bench/run.py --smoke``).
+"""Smoke runs of the benchmark workloads (``bench/run.py --smoke``).
 
 Each run drives the CLI on small grids through the benchmark's own
 reference and invariant checks; its last output line is the JSON verdict.
@@ -14,7 +14,7 @@ import pytest
 RUNNER = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["trajectory", "sweep"])
+@pytest.mark.parametrize("workload", ["trajectory", "sweep", "onset", "stiff"])
 def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(RUNNER), "--workload", workload, "--smoke"],

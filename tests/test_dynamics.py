@@ -8,7 +8,13 @@ import pytest
 
 from helpers import OMEGA_21, make_params
 from spaserkit.analysis import reduced_jacobian, reduced_rhs, weak_field_background
-from spaserkit.dynamics import equations_of_motion, integrate
+from spaserkit.dynamics import (
+    _REDUCED_OPERATOR_DNU,
+    _coeffs,
+    _reduced_operator,
+    equations_of_motion,
+    integrate,
+)
 from spaserkit.errors import IntegrationError, InvalidStateError
 from spaserkit.params import set_param
 from spaserkit.state import DensityMatrix3, SpaserState
@@ -120,6 +126,23 @@ class TestEquationsOfMotion:
                      + np.abs(reduced_jacobian(x, p, nu)) @ np.abs(x))
             assert np.all(np.abs(got - reduced_rhs(x, p, nu)) <= 1e-13 * scale)
             assert abs(d.rho.p1 + d.rho.p2 + d.rho.p3) <= 1e-13 * (scale[0] + scale[1])
+
+    @pytest.mark.parametrize("delta_a", [0.0, 1.5e12])
+    def test_frame_frequency_enters_the_operator_linearly(self, delta_a):
+        """d m / d nu is the stated constant, and nu appears nowhere else.
+
+        Steps are powers of two on a frame frequency that is itself a
+        multiple of a large power of two, so nu + step is exact and the
+        difference quotient is exact wherever m is linear in nu."""
+        p = driven_params(gamma_ph=3e13, delta_a=delta_a)
+        nu = 3.8e15
+        k0, m0, nr0, ni0 = _reduced_operator(_coeffs(p, nu))
+        for step in (2.0**20, -(2.0**33)):
+            k1, m1, nr1, ni1 = _reduced_operator(_coeffs(p, nu + step))
+            np.testing.assert_array_equal((m1 - m0) / step, _REDUCED_OPERATOR_DNU)
+            np.testing.assert_array_equal(k1, k0)
+            np.testing.assert_array_equal(nr1, nr0)
+            np.testing.assert_array_equal(ni1, ni0)
 
 
 class TestIntegrator:

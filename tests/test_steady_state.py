@@ -1,19 +1,23 @@
 """Self-consistent operating points of the coupled chromophore-field system."""
 
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import make_params
+from spaserkit import analysis
 from spaserkit.analysis import (
     spasing_frequency,
     steady_state_numeric,
     threshold_find,
     weak_field_background,
 )
+from spaserkit.config import PRESETS, build_config
 from spaserkit.dynamics import integrate
-from spaserkit.params import default_params
+from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState
 
 
@@ -159,3 +163,118 @@ class TestSpasingBranch:
         res = steady_state_numeric(default_params(pump_g=2e13, omega_a_rabi=16e12))
         res.rho_ss.validate()
         assert isinstance(res.rho_ss, DensityMatrix3)
+
+
+class TestNewtonDerivatives:
+    @staticmethod
+    def central_difference_jacobian(params, block, nu0, amp, shift):
+        """Central differences of the mismatch with the steps the solver
+        used before it had exact derivatives."""
+        def f(a, u):
+            return analysis._gain_balance(params, block, nu0, a, u)[0]
+
+        d_amp, d_u = 1e-6 * (1.0 + amp), 1e-6
+        return np.column_stack((
+            (f(amp + d_amp, shift) - f(amp - d_amp, shift)) / (2.0 * d_amp),
+            (f(amp, shift + d_u) - f(amp, shift - d_u)) / (2.0 * d_u),
+        ))
+
+    @pytest.mark.parametrize("gamma_ph", [0.0, 80e12])
+    @pytest.mark.parametrize("drive", [0.0, 4e12, 16e12])
+    def test_exact_jacobian_matches_central_differences(self, drive, gamma_ph):
+        """Near threshold (A = 1e-2, N = 1e-4) and deep in the spasing
+        branch (A = 4 and 6, N = 16 and 36), on and off the frame.  Entries
+        agree to 1e-6 relative; an entry far below the rest of its column
+        (df0/dshift deep in the branch, ~1e-5 of the column) only to 1e-8
+        of the column, the rounding noise of the differences."""
+        p = default_params(pump_g=8e12, omega_a_rabi=drive, gamma_ph=gamma_ph)
+        nu0 = spasing_frequency(p)
+        block = analysis._gain_balance_block(p, nu0)
+        for amp, shift in ((1e-2, 0.0), (1e-2, 3e-3), (4.0, -1e-2), (6.0, 0.0)):
+            _, _, jacobian = analysis._gain_balance(p, block, nu0, amp, shift)
+            ref = self.central_difference_jacobian(p, block, nu0, amp, shift)
+            np.testing.assert_array_less(
+                np.abs(np.array(jacobian()) - ref),
+                1e-6 * np.abs(ref) + 1e-8 * np.abs(ref).max(axis=0),
+                err_msg=f"A={amp}, shift={shift}",
+            )
+
+    def test_mismatch_follows_the_frame_shift(self):
+        """The mismatch at nu0 + gamma_n * shift from the operator built at
+        nu0 equals the one from an operator built at that frequency."""
+        p = default_params(pump_g=8e12, omega_a_rabi=16e12, gamma_ph=80e12)
+        nu0 = spasing_frequency(p)
+        shift = 2.5e-3
+        nu1 = nu0 + p.plasmon.gamma_n * shift
+        f0, rho0, _ = analysis._gain_balance(
+            p, analysis._gain_balance_block(p, nu0), nu0, 3.0, shift)
+        f1, rho1, _ = analysis._gain_balance(
+            p, analysis._gain_balance_block(p, nu1), nu1, 3.0, 0.0)
+        np.testing.assert_allclose(rho0, rho1, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(f0, f1, rtol=1e-9, atol=1e-12)
+
+
+def _preset_branch_counts(preset: str) -> dict[float, tuple[int, int, int]]:
+    """(spasing, stable spasing, zero) points per value of the preset's
+    second axis."""
+    config = build_config(PRESETS[preset])
+    (pump_axis, slice_axis) = config.axes
+    counts: dict[float, Counter] = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for value in slice_axis.values:
+            tally = counts.setdefault(value, Counter())
+            base = set_param(config.model, slice_axis.path, value)
+            for pump in pump_axis.values:
+                res = steady_state_numeric(set_param(base, pump_axis.path, pump))
+                tally[res.branch] += 1
+                tally["stable"] += res.branch == "spasing" and res.stable
+    return {v: (c["spasing"], c["stable"], c["zero"]) for v, c in counts.items()}
+
+
+class TestPresetFixedPoints:
+    """Newton lands on the same fixed points over the figure grids (the
+    counts the README quotes)."""
+
+    def test_fig2_branches_and_stability(self):
+        assert _preset_branch_counts("fig2") == {
+            0.0: (64, 0, 17), 4e12: (72, 13, 9), 16e12: (72, 72, 9),
+        }
+
+    def test_fig3_branches_and_stability(self):
+        assert _preset_branch_counts("fig3") == {
+            0.0: (72, 72, 9), 80e12: (65, 18, 16),
+            160e12: (64, 7, 17), 240e12: (64, 3, 17),
+        }
+
+
+class TestRelaxationFallback:
+    """With Newton disabled the operating point comes from time-domain
+    relaxation; its ``stable`` flag is the spectrum's verdict."""
+
+    PARAMS = dict(pump_g=3e12, omega_a_rabi=16e12)
+
+    def relax(self, monkeypatch, stability):
+        calls = []
+
+        def recorded(params, x, nu):
+            calls.append(stability(params, x, nu))
+            return calls[-1]
+
+        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
+        monkeypatch.setattr(analysis, "_spasing_stability", recorded)
+        with pytest.warns(RuntimeWarning, match="relaxing to the attractor"):
+            res = steady_state_numeric(default_params(**self.PARAMS))
+        assert res.method == "ode-relaxation" and res.branch == "spasing"
+        assert res.n_n == pytest.approx(1.228, rel=1e-3)
+        return res, calls
+
+    def test_stable_flag_is_computed_from_the_spectrum(self, monkeypatch):
+        res, calls = self.relax(monkeypatch, analysis._spasing_stability)
+        assert calls == [True]
+        assert res.stable is True
+
+    def test_stable_flag_follows_a_false_verdict(self, monkeypatch):
+        res, calls = self.relax(monkeypatch, lambda params, x, nu: False)
+        assert calls == [False]
+        assert res.stable is False

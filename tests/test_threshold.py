@@ -8,12 +8,16 @@ import pytest
 from helpers import OMEGA_21, make_params
 from spaserkit.analysis import (
     growth_rate,
+    reduced_jacobian,
     spasing_condition_residual,
     spasing_frequency,
     threshold_find,
+    weak_field_background,
 )
+from spaserkit.dynamics import _pack_reduced
 from spaserkit.errors import NoThresholdError
 from spaserkit.params import default_params, set_param
+from spaserkit.state import SpaserState
 
 
 class TestGrowthRate:
@@ -58,6 +62,18 @@ class TestGrowthRate:
             for g in [4.4e12, 6e12, 8e12]
         ]
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("gamma_ph", [0.0, 80e12])
+    @pytest.mark.parametrize("drive", [0.0, 4e12, 16e12])
+    def test_spectrum_is_the_background_jacobian_bit_for_bit(self, drive, gamma_ph):
+        """The growth spectrum is the eigen-decomposition of the public
+        reduced Jacobian at the public weak-field background, to the bit."""
+        for pump in (3e12, 8e12):
+            p = default_params(pump_g=pump, omega_a_rabi=drive, gamma_ph=gamma_ph)
+            x0 = _pack_reduced(SpaserState(rho=weak_field_background(p)))
+            ref = np.linalg.eig(reduced_jacobian(x0, p)).eigenvalues
+            got = growth_rate(p).eigenvalues
+            assert got.tobytes() == ref[np.argsort(-ref.real)].tobytes()
 
 
 class TestThresholdFind:
