@@ -399,8 +399,14 @@ def frame_at_spasing_frequency(params: ModelParams) -> ModelParams:
 def reduced_rhs(x, params: ModelParams, nu: float | None = None) -> np.ndarray:
     """Right-hand side on the 10 reduced coordinates
     (p1, p2, Re/Im rho21, Re/Im rho31, Re/Im rho32, Re/Im a)."""
-    x = np.asarray(x, dtype=float)
-    k, m, nr, ni = _reduced_operator(_coeffs(params, nu))
+    return _operator_rhs(
+        _reduced_operator(_coeffs(params, nu)), np.asarray(x, dtype=float)
+    )
+
+
+def _operator_rhs(op, x: np.ndarray) -> np.ndarray:
+    """k + (m + x8 nr + x9 ni) @ x for ``op`` = (k, m, nr, ni)."""
+    k, m, nr, ni = op
     return k + (m + x[8] * nr + x[9] * ni) @ x
 
 
@@ -617,8 +623,10 @@ def _rate_scale(params: ModelParams) -> float:
     )
 
 
-def _scaled_residual_norm(x: np.ndarray, params: ModelParams, nu: float) -> float:
-    f = reduced_rhs(x, params, nu)
+def _scaled_residual_norm(x: np.ndarray, params: ModelParams, op) -> float:
+    """Largest right-hand-side component at x, for the reduced operator
+    ``op``, relative to the fastest rate and the field amplitude."""
+    f = _operator_rhs(op, x)
     amp = math.hypot(x[8], x[9])
     return float(np.max(np.abs(f))) / (_rate_scale(params) * (1.0 + amp))
 
@@ -742,8 +750,8 @@ def _spasing_newton(
     return None
 
 
-def _spasing_stability(params: ModelParams, x: np.ndarray, nu: float) -> bool:
-    eigvals = np.linalg.eigvals(reduced_jacobian(x, params, nu))
+def _spasing_stability(params: ModelParams, x: np.ndarray, op) -> bool:
+    eigvals = np.linalg.eigvals(_operator_jacobian(op, x))
     # the gauge (global phase) mode sits at zero; anything clearly above
     # it signals instability of the operating point
     tol = 1e-6 * _rate_scale(params)
@@ -801,13 +809,14 @@ def _relaxation_chunks(
 
 
 def _zero_branch_result(params: ModelParams, stable: bool) -> SteadyStateResult:
-    bg = weak_field_background(params)
-    x = _pack_reduced(SpaserState(rho=bg))
+    # the background and its residual, from one operator in the frame of params
+    op = _reduced_operator(_coeffs(params))
+    x = np.append(_background_block(op), (0.0, 0.0))
+    bg = _unpack_reduced(x).rho
     try:
         nu_s = spasing_frequency(params)
     except (NonResonantDriveError, DegenerateParameterError, ConvergenceError):
         nu_s = math.nan
-    nu_for_resid = params.frame.nu_ref
     return SteadyStateResult(
         n_n=0.0,
         n21=bg.p2 - bg.p1,
@@ -815,7 +824,7 @@ def _zero_branch_result(params: ModelParams, stable: bool) -> SteadyStateResult:
         rho_ss=bg,
         amplitude=0j,
         nu_s=nu_s,
-        residual_norm=_scaled_residual_norm(x, params, nu_for_resid),
+        residual_norm=_scaled_residual_norm(x, params, op),
         method="algebraic-root",
         converged=True,
         stable=stable,
@@ -909,6 +918,7 @@ def steady_state_numeric(
         x = np.append(rho, (amp, 0.0))
         state = _unpack_reduced(x)
         rho = state.rho
+        op = _reduced_operator(_coeffs(params, nu_s))
         result = SteadyStateResult(
             n_n=amp * amp,
             n21=rho.p2 - rho.p1,
@@ -916,10 +926,10 @@ def steady_state_numeric(
             rho_ss=rho,
             amplitude=state.amplitude,
             nu_s=nu_s,
-            residual_norm=_scaled_residual_norm(x, params, nu_s),
+            residual_norm=_scaled_residual_norm(x, params, op),
             method="algebraic-root",
             converged=True,
-            stable=_spasing_stability(params, x, nu_s),
+            stable=_spasing_stability(params, x, op),
             branch="spasing",
         )
         return _bookkeeping_check(result)
@@ -945,6 +955,7 @@ def steady_state_numeric(
         return _zero_branch_result(params, stable=stab.gamma_s <= 0.0)
     rho = state.rho
     x = _pack_reduced(state)
+    op = _reduced_operator(_coeffs(params, nu_s))
     result = SteadyStateResult(
         n_n=state.n_n,
         n21=rho.p2 - rho.p1,
@@ -952,10 +963,10 @@ def steady_state_numeric(
         rho_ss=rho,
         amplitude=state.amplitude,
         nu_s=nu_s,
-        residual_norm=_scaled_residual_norm(x, params, nu_s),
+        residual_norm=_scaled_residual_norm(x, params, op),
         method="ode-relaxation",
         converged=True,
-        stable=_spasing_stability(params, x, nu_s),
+        stable=_spasing_stability(params, x, op),
         branch="spasing",
     )
     return _bookkeeping_check(result)

@@ -238,15 +238,6 @@ _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA  # = 0.17
 
 
-def _scaled_error(y, ynew, errvec, rtol, atol) -> float:
-    acc = 0.0
-    for yi, yni, ei in zip(y, ynew, errvec):
-        sc = atol + rtol * max(abs(yi), abs(yni))
-        q = ei / sc
-        acc += q * q
-    return math.sqrt(acc / _N_COMPONENTS)
-
-
 def _initial_step(y0, f0, c, rtol, atol, max_step: float, t_end: float) -> float:
     scales = [atol + rtol * abs(yi) for yi in y0]
     d0 = math.sqrt(sum((yi / si) ** 2 for yi, si in zip(y0, scales)) / _N_COMPONENTS)
@@ -378,7 +369,7 @@ def integrate(
     n_fev += 1
 
     ts: list[float] = [0.0]
-    ys: list[tuple[float, ...]] = [y]
+    ys: list = [y]
     tr_errs: list[float] = [abs(y[0] + y[1] + y[2] - 1.0)]
 
     n_accepted = 0
@@ -398,45 +389,34 @@ def integrate(
             )
         h = min(h, max_step, t_end - t)
         is_last = h >= t_end - t
-        if h < h_floor:
+        if not h >= h_floor:  # a NaN step (non-finite start-up RHS) stops here too
             _fail(
                 StiffnessError,
                 f"step size underflow (h = {h:.3e} s) at t = {t:.6e} s; "
                 "the problem is too stiff for the explicit 5(4) pair",
             )
 
-        y2 = tuple(yi + h * (_A21 * a) for yi, a in zip(y, k1))
-        k2 = _rhs(y2, c)
-        y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
-        k3 = _rhs(y3, c)
-        y4 = tuple(
-            yi + h * (_A41 * a + _A42 * b + _A43 * d)
-            for yi, a, b, d in zip(y, k1, k2, k3)
-        )
-        k4 = _rhs(y4, c)
-        y5 = tuple(
-            yi + h * (_A51 * a + _A52 * b + _A53 * d + _A54 * e)
-            for yi, a, b, d, e in zip(y, k1, k2, k3, k4)
-        )
-        k5 = _rhs(y5, c)
-        y6 = tuple(
-            yi + h * (_A61 * a + _A62 * b + _A63 * d + _A64 * e + _A65 * f)
-            for yi, a, b, d, e, f in zip(y, k1, k2, k3, k4, k5)
-        )
-        k6 = _rhs(y6, c)
-        ynew = tuple(
-            yi + h * (_B1 * a + _B3 * d + _B4 * e + _B5 * f + _B6 * g_)
-            for yi, a, d, e, f, g_ in zip(y, k1, k3, k4, k5, k6)
-        )
+        k2 = _rhs([yi + h * (_A21 * a) for yi, a in zip(y, k1)], c)
+        k3 = _rhs([yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)], c)
+        k4 = _rhs([yi + h * (_A41 * a + _A42 * b + _A43 * d)
+                   for yi, a, b, d in zip(y, k1, k2, k3)], c)
+        k5 = _rhs([yi + h * (_A51 * a + _A52 * b + _A53 * d + _A54 * e)
+                   for yi, a, b, d, e in zip(y, k1, k2, k3, k4)], c)
+        k6 = _rhs([yi + h * (_A61 * a + _A62 * b + _A63 * d + _A64 * e + _A65 * f)
+                   for yi, a, b, d, e, f in zip(y, k1, k2, k3, k4, k5)], c)
+        ynew = [yi + h * (_B1 * a + _B3 * d + _B4 * e + _B5 * f + _B6 * g_)
+                for yi, a, d, e, f, g_ in zip(y, k1, k3, k4, k5, k6)]
         k7 = _rhs(ynew, c)
         n_fev += 6
 
-        errvec = tuple(
-            h * (_E1 * a + _E3 * d + _E4 * e + _E5 * f + _E6 * g_ + _E7 * q)
-            for a, d, e, f, g_, q in zip(k1, k3, k4, k5, k6, k7)
-        )
+        # RMS of the embedded error, scaled by atol + rtol * max(|y|, |ynew|)
         if all(math.isfinite(v) for v in ynew):
-            err = _scaled_error(y, ynew, errvec, rel_tol, abs_tol)
+            acc = 0.0
+            for yi, yni, a, d, e, f, g_, q in zip(y, ynew, k1, k3, k4, k5, k6, k7):
+                sc = abs_tol + rel_tol * max(abs(yi), abs(yni))
+                r = h * (_E1 * a + _E3 * d + _E4 * e + _E5 * f + _E6 * g_ + _E7 * q) / sc
+                acc += r * r
+            err = math.sqrt(acc / _N_COMPONENTS)
         else:
             err = math.inf
 

@@ -99,8 +99,14 @@ def render_csv(table: SweepTable) -> str:
     if timestamp is not None:
         out.write(f"# timestamp: {timestamp}\n")
     out.write(",".join(table.column_labels()) + "\n")
+    # one "%" per row of plain floats: "%.17g" % x is _format_cell(x) for any float
+    ncols = len(table.columns)
+    float_row = ",".join(["%.17g"] * ncols) + "\n"
     for row in table.rows:
-        out.write(",".join(_format_cell(cell) for cell in row) + "\n")
+        if len(row) == ncols and all(type(cell) is float for cell in row):
+            out.write(float_row % tuple(row))
+        else:
+            out.write(",".join(_format_cell(cell) for cell in row) + "\n")
     return out.getvalue()
 
 

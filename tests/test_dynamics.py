@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import OMEGA_21, make_params
-from spaserkit.analysis import reduced_jacobian, reduced_rhs, weak_field_background
+from spaserkit import dynamics
+from spaserkit.analysis import (
+    frame_at_spasing_frequency,
+    reduced_jacobian,
+    reduced_rhs,
+    weak_field_background,
+)
 from spaserkit.dynamics import (
     _REDUCED_OPERATOR_DNU,
     _coeffs,
@@ -15,8 +21,13 @@ from spaserkit.dynamics import (
     equations_of_motion,
     integrate,
 )
-from spaserkit.errors import IntegrationError, InvalidStateError
-from spaserkit.params import set_param
+from spaserkit.errors import (
+    IntegrationError,
+    InvalidStateError,
+    StiffnessError,
+    TraceDriftError,
+)
+from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState
 
 
@@ -245,3 +256,104 @@ class TestIntegrator:
         )
         assert traj.n_accepted >= len(traj) - 1
         assert traj.n_rhs_evals >= 6 * traj.n_accepted
+
+
+def _patched_rhs(monkeypatch, edit):
+    """Pass every right-hand side the integrator evaluates through
+    ``edit(call_number, dy)``, counting calls from 1."""
+    rhs = dynamics._rhs
+    calls = [0]
+
+    def patched(y, c):
+        calls[0] += 1
+        return edit(calls[0], rhs(y, c))
+
+    monkeypatch.setattr(dynamics, "_rhs", patched)
+
+
+class TestIntegratorWatchdogs:
+    """Each failure check of ``integrate``, provoked by a corrupted
+    right-hand side."""
+
+    def start(self):
+        p = driven_params()
+        return SpaserState(rho=weak_field_background(p), amplitude=1e-3 + 0j), p
+
+    def test_trace_drift_is_caught(self, monkeypatch):
+        _patched_rhs(monkeypatch, lambda n, dy: (dy[0] + 1e10,) + dy[1:])
+        s0, p = self.start()
+        with pytest.raises(TraceDriftError, match="trace drift") as exc_info:
+            integrate(s0, p, 1e-13)
+        assert exc_info.value.t is not None and exc_info.value.t > 0.0
+        assert exc_info.value.state is not None
+
+    def test_trace_conserving_population_drift_is_caught(self, monkeypatch):
+        _patched_rhs(
+            monkeypatch, lambda n, dy: (dy[0] + 1e13, dy[1] - 1e13) + dy[2:]
+        )
+        s0, p = self.start()
+        with pytest.raises(IntegrationError, match=r"left \[0, 1\]") as exc_info:
+            integrate(s0, p, 1e-13)
+        assert not isinstance(exc_info.value, TraceDriftError)
+        assert exc_info.value.t is not None and exc_info.value.t > 0.0
+
+    @pytest.mark.parametrize("first_nan_call", [1, 3])
+    def test_nan_right_hand_side_underflows_the_step(self, monkeypatch, first_nan_call):
+        """From the first call, the start-up step is NaN; from the third,
+        every trial step is rejected until the step underflows.  Either
+        way the run stops at once instead of spending its step budget."""
+        _patched_rhs(
+            monkeypatch,
+            lambda n, dy: (math.nan,) * 11 if n >= first_nan_call else dy,
+        )
+        s0, p = self.start()
+        with pytest.raises(StiffnessError, match="underflow") as exc_info:
+            integrate(s0, p, 1e-13, max_steps=10_000)
+        assert exc_info.value.t == 0.0
+
+    def test_one_nan_stage_is_rejected_and_retried(self, monkeypatch):
+        # calls 1 and 2 start up; the second step evaluates calls 9 to 14
+        _patched_rhs(monkeypatch, lambda n, dy: (math.nan,) * 11 if n == 10 else dy)
+        s0, p = self.start()
+        traj = integrate(s0, p, 1e-14)
+        assert traj.n_rejected >= 1
+        assert traj.t[-1] == 1e-14
+        assert np.isfinite(traj.y).all()
+
+
+class TestFrozenTrajectory:
+    """Bit-for-bit regression pin of the DP5 stepper: the spasing-frame
+    build-up at pump 8e12 and drive 4e12 from the weak-field background,
+    rel_tol 1e-8, abs_tol 1e-10, to 0.2 ps.  A reassociated stage sum or a
+    changed controller moves these bits."""
+
+    FINAL = (
+        "0x1.4062a297b01b2p-3", "0x1.40646648410c6p-3", "0x1.5fce3dc803b59p-1",
+        "-0x1.9b4730280372cp-17", "0x1.03179ecdd7b75p-12",
+        "-0x1.a1fc877582c75p-8", "-0x1.b91ac73912de4p-14",
+        "-0x1.6ffd514e0a187p-17", "-0x1.2cc87e4332d15p-6",
+        "-0x1.c594deb03c447p-2", "-0x1.137c921157482p-5",
+    )
+
+    def run(self, store_every=1):
+        p = frame_at_spasing_frequency(default_params(pump_g=8e12, omega_a_rabi=4e12))
+        s0 = SpaserState(rho=weak_field_background(p), amplitude=complex(1e-3, 0.0))
+        return integrate(
+            s0, p, 0.2e-12, rel_tol=1e-8, abs_tol=1e-10, store_every=store_every
+        )
+
+    def test_counts_and_final_state(self):
+        traj = self.run()
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs_evals) == (1895, 26, 11528)
+        assert len(traj) == 1896
+        assert tuple(float(v).hex() for v in traj.y[-1]) == self.FINAL
+
+    def test_thinned_rows_are_the_dense_rows(self):
+        thin = self.run(store_every=7)
+        assert (thin.n_accepted, thin.n_rejected, thin.n_rhs_evals) == (1895, 26, 11528)
+        assert len(thin) == 272
+        assert tuple(float(v).hex() for v in thin.y[-1]) == self.FINAL
+        dense = self.run()
+        assert thin.t[:-1].tolist() == dense.t[:-1:7].tolist()
+        assert thin.y[:-1].tolist() == dense.y[:-1:7].tolist()
+        assert thin.t[-1] == dense.t[-1] == 0.2e-12

@@ -4,11 +4,16 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spaserkit import tables
 from spaserkit.errors import ConfigError
 from spaserkit.tables import (
     SweepTable,
+    _format_cell,
     build_metadata,
     config_hash,
     read_csv,
@@ -75,6 +80,56 @@ class TestCsv:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("# timestamp")]
         assert strip(a) == strip(b)
         assert a != b
+
+
+def cell_by_cell(rows) -> str:
+    return "".join(",".join(_format_cell(cell) for cell in row) + "\n" for row in rows)
+
+
+def body(text: str) -> str:
+    """The rendered rows: everything after the header line."""
+    return text.split("\n", 1)[1]
+
+
+FOUR_FLOATS = (("a", "1"), ("b", "1"), ("c", "1"), ("d", "1"))
+
+
+class TestWholeRowFormatting:
+    """Rows of plain floats are formatted in one operation; they must read
+    exactly as the per-cell formatter writes them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.floats()] * 4), max_size=8))
+    @example(rows=[(0.0, -0.0, math.inf, -math.inf)])
+    @example(rows=[(math.nan, -math.nan, 5e-324, -2.2250738585072009e-308)])
+    @example(rows=[(1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 1.0 / 3.0)])
+    def test_float_rows_match_the_cell_formatter(self, rows):
+        table = SweepTable(columns=FOUR_FLOATS, rows=tuple(rows))
+        assert body(render_csv(table)) == cell_by_cell(rows)
+
+    def test_mixed_rows_take_the_cell_formatter(self, monkeypatch):
+        rows = (
+            (True, 0.5, 0.25, 0.125),
+            (1.5, 2, 0.25, math.nan),
+            ("x", 0.5, 0.25, 0.125),
+            (0.5, np.float64(0.1), 0.25, math.nan),
+            (math.nan, 0.5, 0.25, False),
+            (0.5, 0.25),
+            (0.5, 0.25, 0.125, 1e300),
+        )
+        expected = cell_by_cell(rows)
+        formatted = []
+
+        def recording(value):
+            formatted.append(value)
+            return _format_cell(value)
+
+        monkeypatch.setattr(tables, "_format_cell", recording)
+        text = render_csv(SweepTable(columns=FOUR_FLOATS, rows=rows))
+        assert body(text) == expected
+        # every cell of the first six rows, none of the all-float last row
+        assert len(formatted) == 4 * 5 + 2
+        assert formatted[-2:] == [0.5, 0.25]
 
 
 class TestJson:
