@@ -8,7 +8,7 @@ the model is bilinear:
 
     dx/dt = k + (m + Re a * nr + Im a * ni) @ x,
 
-with (k, m, nr, ni) built once per parameter set and frame by
+with (k, m, nr, ni) read off the stepper's ``_rhs`` by
 ``dynamics._reduced_operator``.  The reduced right-hand side, its
 analytic Jacobian (the same matrix, plus nr @ x and ni @ x in the two
 field columns), the density-matrix solve at a fixed real field
@@ -180,7 +180,7 @@ def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
     gain = params.gain
     g = gain.pump_g
     g21, g31, g32 = gain.gamma21, gain.gamma31, gain.gamma32
-    gamma32_tilde = 0.5 * (g31 + g21 + g32) + gain.gamma_ph
+    gamma32_tilde = complex_rates(params).Gamma32.real
     wa2 = params.drive.omega_a_rabi ** 2
     m_inv = gamma32_tilde * (g * (g21 + g32) + g21 * (g31 + g32)) + 2.0 * (
         2.0 * g + g21 + g31
@@ -269,9 +269,10 @@ def spasing_frequency_estimate(params: ModelParams) -> float:
     gain = params.gain
     plasmon = params.plasmon
     inv = steady_inversions_closed_form(params)
-    gamma21_t = 0.5 * (gain.gamma21 + gain.pump_g) + gain.gamma_ph
-    gamma31_t = 0.5 * (gain.gamma31 + gain.gamma32 + gain.pump_g) + gain.gamma_ph
-    gamma32_t = 0.5 * (gain.gamma31 + gain.gamma21 + gain.gamma32) + gain.gamma_ph
+    rates = complex_rates(params)
+    gamma21_t = rates.Gamma21.real
+    gamma31_t = rates.Gamma31.real
+    gamma32_t = rates.Gamma32.real
     wa2 = params.drive.omega_a_rabi ** 2
     if wa2 != 0.0 and (gamma31_t == 0.0 or gamma32_t == 0.0):
         raise DegenerateParameterError(
@@ -350,7 +351,7 @@ def spasing_frequency(params: ModelParams) -> float:
     if omega21 == omega_n:
         return omega21
     if params.drive.omega_a_rabi == 0.0:
-        gamma21_t = 0.5 * (gain.gamma21 + gain.pump_g) + gain.gamma_ph
+        gamma21_t = complex_rates(params).Gamma21.real
         gamma_n = params.plasmon.gamma_n
         return (gamma_n * omega21 + gamma21_t * omega_n) / (gamma_n + gamma21_t)
 
@@ -956,6 +957,7 @@ def steady_state_numeric(
     rho = state.rho
     x = _pack_reduced(state)
     op = _reduced_operator(_coeffs(params, nu_s))
+    residual_norm = _scaled_residual_norm(x, params, op)
     result = SteadyStateResult(
         n_n=state.n_n,
         n21=rho.p2 - rho.p1,
@@ -963,9 +965,9 @@ def steady_state_numeric(
         rho_ss=rho,
         amplitude=state.amplitude,
         nu_s=nu_s,
-        residual_norm=_scaled_residual_norm(x, params, op),
+        residual_norm=residual_norm,
         method="ode-relaxation",
-        converged=True,
+        converged=residual_norm <= rel_tol,
         stable=_spasing_stability(params, x, op),
         branch="spasing",
     )

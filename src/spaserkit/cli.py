@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .config import PRESETS, RunConfig, parse_config, resolved_config_dict
 from .dynamics import integrate
-from .errors import CalibrationError, ConfigError, NoThresholdError, SpaserError
+from .errors import CalibrationError, ConfigError, SpaserError
 from .params import ModelParams, set_param
 from .state import SpaserState
 from .tables import SweepTable, build_metadata, write_table
@@ -91,7 +91,7 @@ def _threshold_point(task) -> tuple:
         res = threshold_find(params, bracket)
         growth = math.nan if res.g_th_growth is None else res.g_th_growth
         return values + (res.g_th, growth, res.nu_s)
-    except (NoThresholdError, SpaserError):
+    except SpaserError:
         return values + (math.nan, math.nan, math.nan)
 
 

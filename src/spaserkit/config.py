@@ -140,8 +140,6 @@ def _quantity(node, path: str, *, kind: str) -> float:
         if unit == "eV":
             return ev_to_angular(value)
         raise ConfigError(f"'{path}.unit' must be 'rad/s' or 'eV', got {unit!r}")
-    if kind == "time":
-        return _number(node, path)
     return _number(node, path)
 
 

@@ -6,10 +6,10 @@ driven transition.  Only the independent real components are integrated
 (three populations, three complex coherences, complex field amplitude:
 11 real numbers), so Hermiticity of the density matrix is exact by
 construction and the trace is conserved by the algebra of the
-right-hand side.  The same equations on the 10 trace-eliminated
-coordinates, as a bilinear operator, come from ``_reduced_operator``;
-the analysis layer derives its right-hand side, Jacobian and linear
-solves from that.
+right-hand side.  ``_rhs`` is the one statement of the equations: the
+bilinear operator on the 10 trace-eliminated coordinates
+(``_reduced_operator``) is read off it at import, and the analysis
+layer derives its right-hand side, Jacobian and linear solves from that.
 
 The stepper is an explicit Dormand–Prince 5(4) pair with FSAL and a
 PI step-size controller.  The plasmon loss rate is usually the fastest
@@ -129,6 +129,40 @@ def _rhs(y, c) -> tuple[float, ...]:
     )
 
 
+def _operator_map() -> np.ndarray:
+    """The constant 310x15 map from the coefficients of :func:`_coeffs` to
+    the flattened (k, m, nr, ni) of :func:`_reduced_operator`.
+
+    Read off :func:`_rhs` at unit coefficients: at a unit state it gives a
+    column of the linear part; what a density coordinate paired with Re a
+    or Im a adds to the two alone is a column of nr or ni.  p3 = 1 - p1 - p2
+    (no field term has p3) turns the p3 column into k.  No BLAS call: the
+    first one grows a process's memory by ~0.4 MB, and this runs at import.
+    """
+    keep = [0, 1, *range(3, 11)]  # every coordinate but p3
+
+    def fold(block: np.ndarray) -> np.ndarray:  # flattened, on the reduced columns
+        out = block[:, keep]
+        out[:, :2] -= block[:, 2:3]
+        return out.ravel()
+    columns = []
+    for c in np.eye(15).tolist():  # plain floats, as the stepper passes them
+        def f(*ones: int) -> np.ndarray:
+            return np.array(_rhs([float(j in ones) for j in range(11)], c))[keep]
+        lin = np.column_stack([f(j) for j in range(11)])
+        nr, ni = (
+            fold(np.column_stack([f(j, a) - lin[:, j] - lin[:, a] for j in range(9)]
+                                 + [np.zeros(10)] * 2))
+            for a in (9, 10)
+        )
+        columns.append(np.concatenate((lin[:, 2], fold(lin), nr, ni)))
+    return np.column_stack(columns)
+
+
+_OPERATOR_MAP = _operator_map()
+_OPERATOR_MAP.flags.writeable = False
+
+
 def _reduced_operator(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The equations of :func:`_rhs` on the 10 reduced coordinates
     x = (p1, p2, Re/Im rho21, Re/Im rho31, Re/Im rho32, Re/Im a),
@@ -139,51 +173,17 @@ def _reduced_operator(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     ``k`` is what the trace elimination leaves behind.  ``nr`` and ``ni``
     carry the field couplings: they are nonzero only inside the 8x8
     density-matrix block, and only at entries where ``m`` is zero.
-    Returns (k, m, nr, ni).
+    Each entry sums at most two coefficients times 1 or 2, so it rounds
+    once, like the term written out.  Returns (k, m, nr, ni).
     """
-    (g, g21, g31, g32, G21r, G21i, G31r, G31i, G32r, G32i,
-     wa, gn, dn, wb1, npwb) = c
-    k = np.zeros(10)
-    m = np.zeros((10, 10))
-    nr = np.zeros((10, 10))
-    ni = np.zeros((10, 10))
-    # dp1/dt = -g p1 + g21 p2 + g31 p3 + 2 wb1 Im(a conj(rho21))
-    k[0] = g31
-    m[0, 0], m[0, 1] = -g - g31, g21 - g31
-    nr[0, 3], ni[0, 2] = -2.0 * wb1, 2.0 * wb1
-    # dp2/dt = -g21 p2 + g32 p3 - 2 wb1 Im(a conj(rho21)) - 2 wa Im rho32
-    k[1] = g32
-    m[1, 0], m[1, 1], m[1, 7] = -g32, -g21 - g32, -2.0 * wa
-    nr[1, 3], ni[1, 2] = 2.0 * wb1, -2.0 * wb1
-    # d rho21/dt = -Gamma21 rho21 + i wb1 a (p1 - p2) + i wa rho31
-    m[2, 2], m[2, 3], m[2, 5] = -G21r, G21i, -wa
-    m[3, 2], m[3, 3], m[3, 4] = -G21i, -G21r, wa
-    nr[3, 0], nr[3, 1] = wb1, -wb1
-    ni[2, 0], ni[2, 1] = -wb1, wb1
-    # d rho31/dt = -Gamma31 rho31 + i wa rho21 - i wb1 a rho32
-    m[4, 3], m[4, 4], m[4, 5] = -wa, -G31r, G31i
-    m[5, 2], m[5, 4], m[5, 5] = wa, -G31i, -G31r
-    nr[4, 7], nr[5, 6] = wb1, -wb1
-    ni[4, 6], ni[5, 7] = wb1, wb1
-    # d rho32/dt = -Gamma32 rho32 + i wa (p2 - p3) - i wb1 conj(a) rho31
-    k[7] = -wa
-    m[6, 6], m[6, 7] = -G32r, G32i
-    m[7, 0], m[7, 1], m[7, 6], m[7, 7] = wa, 2.0 * wa, -G32i, -G32r
-    nr[6, 5], nr[7, 4] = wb1, -wb1
-    ni[6, 4], ni[7, 5] = -wb1, -wb1
-    # da/dt = -(gamma_n + i delta_n) a + i n_p wb1 rho21
-    m[8, 3], m[8, 8], m[8, 9] = -npwb, -gn, dn
-    m[9, 2], m[9, 8], m[9, 9] = npwb, -dn, -gn
-    return k, m, nr, ni
+    v = _OPERATOR_MAP @ np.array(c)
+    return v[:10], *v[10:].reshape(3, 10, 10)
 
 
-# d m / d nu of _reduced_operator, a constant: the frame frequency nu enters
-# only through Im Gamma21 = omega21 - nu (rows 2-3), Im Gamma31 =
-# delta_a + omega21 - nu (rows 4-5) and delta_n = omega_n - nu (rows 8-9),
-# each with slope -1.  k, nr and ni do not depend on nu.
-_REDUCED_OPERATOR_DNU = np.zeros((10, 10))
-_REDUCED_OPERATOR_DNU[[2, 4, 8], [3, 5, 9]] = -1.0
-_REDUCED_OPERATOR_DNU[[3, 5, 9], [2, 4, 8]] = 1.0
+# d m / d nu of _reduced_operator: nu enters only through Im Gamma21, Im Gamma31
+# and delta_n (coefficients 5, 7 and 12), each with slope -1, and k, nr and ni
+# carry none of the three.  0.0 - keeps the zeros positive.
+_REDUCED_OPERATOR_DNU = 0.0 - _OPERATOR_MAP[10:110, [5, 7, 12]].sum(1).reshape(10, 10)
 _REDUCED_OPERATOR_DNU.flags.writeable = False
 
 

@@ -1,6 +1,7 @@
 """Equations of motion and the adaptive time-domain integrator."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -108,9 +109,9 @@ class TestEquationsOfMotion:
         assert cmath.isclose(d.amplitude, expected, rel_tol=1e-14)
 
     def test_matches_the_reduced_operator(self):
-        """The stepper's kernel and the reduced bilinear operator state the
-        same model: with p3 dropped they agree row by row in any frame, and
-        dp3 closes the trace."""
+        """The reduced bilinear operator is derived correctly from the
+        stepper's kernel: with p3 dropped they agree row by row in any
+        frame, and dp3 closes the trace."""
         rng = np.random.default_rng(11)
         p = driven_params(gamma_ph=3e13, delta_a=1.5e12)
         for _ in range(50):
@@ -154,6 +155,44 @@ class TestEquationsOfMotion:
             np.testing.assert_array_equal(k1, k0)
             np.testing.assert_array_equal(nr1, nr0)
             np.testing.assert_array_equal(ni1, ni0)
+
+
+class TestOperatorMap:
+    """The reduced operator is read off ``_rhs`` through a constant map."""
+
+    MAP = dynamics._OPERATOR_MAP
+    # the map's rows, flattened (k, m, nr, ni)
+    K, M, NR, NI = MAP[:10], MAP[10:110], MAP[110:210], MAP[210:]
+
+    def test_entries_make_each_operator_entry_round_once(self):
+        """Entries in {0, +-1, +-2}, at most two per row: every operator
+        entry is then one rounding of the coefficients it sums."""
+        assert set(np.unique(self.MAP)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+        assert np.count_nonzero(self.MAP, axis=1).max() <= 2
+
+    def test_field_couplings_sit_in_the_density_block_where_m_is_zero(self):
+        for couplings in (self.NR, self.NI):
+            weight = np.abs(couplings).sum(axis=1).reshape(10, 10)
+            assert not weight[8:, :].any() and not weight[:, 8:].any()
+            assert not (weight.ravel() * np.abs(self.M).sum(axis=1)).any()
+
+    def test_only_m_depends_on_the_frame(self):
+        """Im Gamma21, Im Gamma31 and delta_n (coefficients 5, 7, 12) carry
+        nu; k, nr and ni put no weight on them."""
+        for rows in (self.K, self.NR, self.NI):
+            assert not rows[:, [5, 7, 12]].any()
+
+    def test_operator_bits_are_frozen(self):
+        """sha256 of (k, m, nr, ni), signed zeros made positive, in a
+        detuned frame with a detuned drive and dephasing; frozen from the
+        hand-written operator the map replaced.  A one-ulp drift in any
+        entry fails here without running the integrator."""
+        p = driven_params(gamma_ph=3e13, delta_a=1.5e12)
+        op = _reduced_operator(_coeffs(p, OMEGA_21 - 1.25e13))
+        blob = b"".join((a + 0.0).tobytes() for a in op)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6e8372f2f70d760545b7adf46943f425b3630854beb7df4db25fc4445afa12d7"
+        )
 
 
 class TestIntegrator:

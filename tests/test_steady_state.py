@@ -1,5 +1,6 @@
 """Self-consistent operating points of the coupled chromophore-field system."""
 
+import json
 import math
 import warnings
 from collections import Counter
@@ -15,10 +16,12 @@ from spaserkit.analysis import (
     threshold_find,
     weak_field_background,
 )
+from spaserkit.cli import entry_point
 from spaserkit.config import PRESETS, build_config
 from spaserkit.dynamics import integrate
 from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState
+from spaserkit.tables import read_csv
 
 
 class TestZeroBranch:
@@ -278,3 +281,53 @@ class TestRelaxationFallback:
         res, calls = self.relax(monkeypatch, lambda params, x, nu: False)
         assert calls == [False]
         assert res.stable is False
+
+
+class TestRelaxationConvergedFlag:
+    """On the relaxation path ``converged`` is the residual's verdict."""
+
+    PARAMS = dict(pump_g=3e12, omega_a_rabi=16e12)
+
+    @pytest.fixture
+    def stalled(self, monkeypatch):
+        """Newton off, and the relaxation hands back the weak-field
+        background with amplitude 1, which is no fixed point."""
+
+        def background(params, nu0, *args):
+            rho = weak_field_background(set_param(params, "frame.nu_ref", nu0))
+            return SpaserState(rho=rho, amplitude=1.0 + 0j), nu0
+
+        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
+        monkeypatch.setattr(analysis, "_relaxation_chunks", background)
+
+    def test_a_relaxed_fixed_point_is_converged(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
+        with pytest.warns(RuntimeWarning, match="relaxing to the attractor"):
+            res = steady_state_numeric(default_params(**self.PARAMS))
+        assert res.method == "ode-relaxation"
+        assert res.residual_norm <= 1e-6
+        assert res.converged is True
+
+    def test_a_non_stationary_state_is_not_converged(self, stalled):
+        with pytest.warns(RuntimeWarning, match="relaxing to the attractor"):
+            res = steady_state_numeric(default_params(**self.PARAMS))
+        assert res.method == "ode-relaxation" and res.branch == "spasing"
+        assert res.residual_norm > 1e-6
+        assert res.converged is False
+
+    @pytest.mark.filterwarnings("ignore:Newton iteration:RuntimeWarning")
+    def test_the_cli_flags_the_row(self, stalled, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "model": {"drive": {"omega_a_rabi": self.PARAMS["omega_a_rabi"]}},
+            "sweep": [{"path": "gain.pump_g", "values": [self.PARAMS["pump_g"]]}],
+        }))
+        out = str(tmp_path / "s.csv")
+        code = entry_point(
+            ["steady-sweep", "--config", str(config), "--out", out, "--workers", "1"]
+        )
+        assert code == 2
+        table = read_csv(out)
+        (row,) = table.rows
+        assert row[table.column_index("converged")] == 0.0
+        assert math.isfinite(row[table.column_index("N_n")])
