@@ -21,7 +21,6 @@ of that solve.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,11 +30,8 @@ import numpy as np
 from .dynamics import (
     _REDUCED_OPERATOR_DNU,
     _coeffs,
-    _pack_reduced,
     _reduced_operator,
     _unpack_reduced,
-    equations_of_motion,
-    integrate,
 )
 from .errors import (
     BookkeepingWarning,
@@ -43,13 +39,12 @@ from .errors import (
     ConvergenceError,
     CrossCheckWarning,
     DegenerateParameterError,
-    IntegrationError,
     NonResonantDriveError,
     NoThresholdError,
     RegimeWarning,
 )
-from .params import ModelParams, complex_rates, set_param
-from .state import DensityMatrix3, SpaserState
+from .params import ComplexRates, ModelParams, complex_rates, set_param
+from .state import DensityMatrix3
 
 __all__ = [
     "ClosedFormInversions",
@@ -266,10 +261,18 @@ def spasing_frequency_estimate(params: ModelParams) -> float:
     (:func:`spasing_frequency` refines it to the exact root).
     """
     _require_resonant_drive(params, "the spasing-frequency formula")
+    return _frequency_estimate(
+        params, steady_inversions_closed_form(params), complex_rates(params)
+    )
+
+
+def _frequency_estimate(
+    params: ModelParams, inv: ClosedFormInversions, rates: ComplexRates
+) -> float:
+    """:func:`spasing_frequency_estimate` from the closed-form inversions
+    ``inv`` and the complex rates ``rates`` of ``params``."""
     gain = params.gain
     plasmon = params.plasmon
-    inv = steady_inversions_closed_form(params)
-    rates = complex_rates(params)
     gamma21_t = rates.Gamma21.real
     gamma31_t = rates.Gamma31.real
     gamma32_t = rates.Gamma32.real
@@ -294,7 +297,9 @@ def spasing_frequency_estimate(params: ModelParams) -> float:
     return (alpha * gain.omega21 + weight * plasmon.omega_n) / denom
 
 
-def _onset_frequency_roots(params: ModelParams) -> np.ndarray:
+def _onset_frequency_roots(
+    params: ModelParams, inv: ClosedFormInversions, rates: ComplexRates
+) -> np.ndarray:
     """Every real frequency at which the driven onset residual is real.
 
     With delta = omega21 - nu the residual is N(delta) / D(delta), where
@@ -303,12 +308,12 @@ def _onset_frequency_roots(params: ModelParams) -> np.ndarray:
     terms cancel).  delta is scaled by |omega21 - omega_n| before the
     coefficients are formed; unscaled they span ~30 decades and the
     companion-matrix roots lose digits.  Requires a resonant drive,
-    omega21 != omega_n and a nonzero drive.  Returned in ascending order.
+    omega21 != omega_n and a nonzero drive; ``inv`` and ``rates`` are the
+    closed-form inversions and complex rates of ``params``.  Returned in
+    ascending order.
     """
     gain = params.gain
     plasmon = params.plasmon
-    inv = steady_inversions_closed_form(params)
-    rates = complex_rates(params)
     if rates.Gamma32.real == 0.0:
         raise DegenerateParameterError(
             "spasing condition undefined: Gamma32 vanishes with a nonzero drive"
@@ -355,12 +360,14 @@ def spasing_frequency(params: ModelParams) -> float:
         gamma_n = params.plasmon.gamma_n
         return (gamma_n * omega21 + gamma21_t * omega_n) / (gamma_n + gamma21_t)
 
+    inv = steady_inversions_closed_form(params)
+    rates = complex_rates(params)
     try:
-        guess = spasing_frequency_estimate(params)
+        guess = _frequency_estimate(params, inv, rates)
     except DegenerateParameterError:
         guess = 0.5 * (omega21 + omega_n)
 
-    roots = _onset_frequency_roots(params)
+    roots = _onset_frequency_roots(params, inv, rates)
     lo = min(omega21, omega_n)
     hi = max(omega21, omega_n)
     pad = 0.05 * (hi - lo)
@@ -759,56 +766,6 @@ def _spasing_stability(params: ModelParams, x: np.ndarray, op) -> bool:
     return not bool(np.any(eigvals.real > tol))
 
 
-def _relaxation_chunks(
-    params: ModelParams,
-    nu0: float,
-    seed_amplitude: float,
-    rel_tol: float,
-    gamma_s: float,
-) -> tuple[SpaserState, float] | None:
-    """Integrate to the attractor in chunks; (final state, nu_s) or None."""
-    frame = set_param(params, "frame.nu_ref", nu0)
-    bg = weak_field_background(frame)
-    state = SpaserState(rho=bg, amplitude=complex(seed_amplitude, 0.0))
-    rate = gamma_s if gamma_s > 0.0 else params.plasmon.gamma_n
-    chunk = 5.0 / rate
-    previous = None
-    hits = 0
-    for _ in range(64):
-        try:
-            traj = integrate(
-                state,
-                frame,
-                chunk,
-                rel_tol=1e-10,
-                abs_tol=1e-12,
-                max_step=math.inf,
-                store_every=1_000_000_000,
-            )
-        except IntegrationError:
-            return None
-        state = traj.final_state
-        n_now = state.n_n
-        if previous is not None and abs(n_now - previous) <= rel_tol * max(
-            n_now, 1e-9
-        ):
-            hits += 1
-            if hits >= 2:
-                break
-        else:
-            hits = 0
-        previous = n_now
-    else:
-        return None
-    a = state.amplitude
-    if abs(a) ** 2 < 1e-12:
-        return state, math.nan  # decayed: zero branch
-    dstate = equations_of_motion(state, frame)
-    nu_s = nu0 - (dstate.amplitude / a).imag
-    rotated = state.with_phase(-cmath.phase(a))
-    return rotated, nu_s
-
-
 def _zero_branch_result(params: ModelParams, stable: bool) -> SteadyStateResult:
     # the background and its residual, from one operator in the frame of params
     op = _reduced_operator(_coeffs(params))
@@ -861,11 +818,7 @@ def _seed_amplitudes(candidates: list[float]):
 
 
 def steady_state_numeric(
-    params: ModelParams,
-    branch_hint: str | None = None,
-    *,
-    rel_tol: float = 1e-6,
-    seed_amplitude: float = 1e-3,
+    params: ModelParams, branch_hint: str | None = None
 ) -> SteadyStateResult:
     """Self-consistent operating point of the coupled system.
 
@@ -874,8 +827,10 @@ def steady_state_numeric(
     branch.  The spasing branch is found by damped Newton on the
     algebraic fixed-point system — the chromophore block is eliminated
     by an exact linear solve, leaving the field amplitude and the
-    self-consistent frame frequency as unknowns — and is re-derived by
-    chunked time integration if Newton fails.
+    self-consistent frame frequency as unknowns — from a ladder of seeds.
+    When Newton fails from every seed, ``branch_hint="spasing"`` below
+    onset reports the zero branch; otherwise :class:`ConvergenceError`
+    is raised.
     """
     if branch_hint not in (None, "zero", "spasing"):
         raise ValueError(f"branch_hint must be None, 'zero' or 'spasing', got {branch_hint!r}")
@@ -939,39 +894,9 @@ def steady_state_numeric(
         # no spasing fixed point below onset; report the zero branch
         return _zero_branch_result(params, stable=True)
 
-    warnings.warn(
-        "Newton iteration on the fixed-point system failed; relaxing to the "
-        "attractor by time integration instead",
-        RuntimeWarning,
-        stacklevel=2,
+    raise ConvergenceError(
+        "Newton iteration on the fixed-point system failed from every seed"
     )
-    relax = _relaxation_chunks(params, nu0, seed_amplitude, rel_tol, stab.gamma_s)
-    if relax is None:
-        raise ConvergenceError(
-            "both the algebraic solver and time-domain relaxation failed to "
-            "locate a steady state"
-        )
-    state, nu_s = relax
-    if math.isnan(nu_s):
-        return _zero_branch_result(params, stable=stab.gamma_s <= 0.0)
-    rho = state.rho
-    x = _pack_reduced(state)
-    op = _reduced_operator(_coeffs(params, nu_s))
-    residual_norm = _scaled_residual_norm(x, params, op)
-    result = SteadyStateResult(
-        n_n=state.n_n,
-        n21=rho.p2 - rho.p1,
-        n32=rho.p3 - rho.p2,
-        rho_ss=rho,
-        amplitude=state.amplitude,
-        nu_s=nu_s,
-        residual_norm=residual_norm,
-        method="ode-relaxation",
-        converged=residual_norm <= rel_tol,
-        stable=_spasing_stability(params, x, op),
-        branch="spasing",
-    )
-    return _bookkeeping_check(result)
 
 
 # --- analytic saturation limits -----------------------------------------------

@@ -75,10 +75,10 @@ def _map_points(worker, tasks, n_workers: int) -> list:
 
 
 def _steady_point(task) -> tuple:
-    model, paths, values, tol, seed = task
+    model, paths, values = task
     try:
         params = _point_params(model, paths, values)
-        res = steady_state_numeric(params, rel_tol=tol, seed_amplitude=seed)
+        res = steady_state_numeric(params)
         return values + (res.n_n, res.n21, res.n32, res.nu_s, res.converged)
     except SpaserError:
         return values + (math.nan, math.nan, math.nan, math.nan, False)
@@ -157,10 +157,7 @@ def _cmd_steady_sweep(config: RunConfig) -> tuple[SweepTable, bool]:
     if not config.axes:
         raise ConfigError("steady-sweep needs between 1 and 3 sweep axes")
     paths = tuple(axis.path for axis in config.axes)
-    tasks = [
-        (config.model, paths, values, config.tol, config.seed_amplitude)
-        for values in _grid(config)
-    ]
+    tasks = [(config.model, paths, values) for values in _grid(config)]
     rows = _map_points(_steady_point, tasks, config.resolved_workers())
     columns = tuple((p, _axis_unit(p)) for p in paths) + (
         ("N_n", "1"),
@@ -332,12 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--workers", type=int, help="parallel grid workers")
-        cmd.add_argument("--tol", type=float, help="relative solver tolerance")
+        cmd.add_argument(
+            "--tol", type=float, help="relative integration tolerance (trajectory only)"
+        )
         cmd.add_argument(
             "--seed-amplitude",
             type=float,
             dest="seed_amplitude",
-            help="initial plasmon amplitude for time-domain seeding",
+            help="initial plasmon amplitude of a time-domain run (trajectory only)",
         )
         cmd.add_argument("--preset", choices=sorted(PRESETS), help="parameter preset")
     return parser

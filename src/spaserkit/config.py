@@ -18,8 +18,9 @@ A config file is a JSON object with (all optional) sections:
     ``t_end`` (number in seconds or ``{"value", "unit": "s"|"fs"|"ps"}``)
     and ``store_every`` for time-domain runs.
 ``options``
-    ``tol`` (relative solver tolerance), ``seed_amplitude`` (initial
-    plasmon amplitude for time-domain seeding), ``workers``.
+    ``tol`` (relative tolerance of the time integration) and
+    ``seed_amplitude`` (initial plasmon amplitude of a time-domain
+    run), both read by ``trajectory`` only, and ``workers``.
 ``threshold``
     ``bracket``: ``[g_lo, g_hi]`` pump bracket for threshold scans.
 ``calibrate``

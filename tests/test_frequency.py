@@ -11,6 +11,7 @@ from spaserkit.analysis import (
     spasing_condition_residual,
     spasing_frequency,
     spasing_frequency_estimate,
+    steady_inversions_closed_form,
 )
 from spaserkit.errors import DegenerateParameterError, NonResonantDriveError
 from spaserkit.params import complex_rates, default_params, set_param
@@ -72,7 +73,9 @@ class TestDrivenFrequency:
         window around the pulling interval, and the one nearest the
         weighted-mean estimate is the spasing frequency."""
         p = set_param(default_params(omega_a_rabi=1e12), "gain.pump_g", 3162277660168.3794)
-        roots = _onset_frequency_roots(p)
+        roots = _onset_frequency_roots(
+            p, steady_inversions_closed_form(p), complex_rates(p)
+        )
         assert len(roots) == 3
         for nu in roots:
             below = spasing_condition_residual(p, nu - 1e3).imag

@@ -19,6 +19,7 @@ from spaserkit.analysis import (
 from spaserkit.cli import entry_point
 from spaserkit.config import PRESETS, build_config
 from spaserkit.dynamics import integrate
+from spaserkit.errors import ConvergenceError
 from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState
 from spaserkit.tables import read_csv
@@ -251,72 +252,43 @@ class TestPresetFixedPoints:
         }
 
 
-class TestRelaxationFallback:
-    """With Newton disabled the operating point comes from time-domain
-    relaxation; its ``stable`` flag is the spectrum's verdict."""
-
-    PARAMS = dict(pump_g=3e12, omega_a_rabi=16e12)
-
-    def relax(self, monkeypatch, stability):
-        calls = []
-
-        def recorded(params, x, nu):
-            calls.append(stability(params, x, nu))
-            return calls[-1]
-
-        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
-        monkeypatch.setattr(analysis, "_spasing_stability", recorded)
-        with pytest.warns(RuntimeWarning, match="relaxing to the attractor"):
-            res = steady_state_numeric(default_params(**self.PARAMS))
-        assert res.method == "ode-relaxation" and res.branch == "spasing"
-        assert res.n_n == pytest.approx(1.228, rel=1e-3)
-        return res, calls
-
-    def test_stable_flag_is_computed_from_the_spectrum(self, monkeypatch):
-        res, calls = self.relax(monkeypatch, analysis._spasing_stability)
-        assert calls == [True]
-        assert res.stable is True
-
-    def test_stable_flag_follows_a_false_verdict(self, monkeypatch):
-        res, calls = self.relax(monkeypatch, lambda params, x, nu: False)
-        assert calls == [False]
-        assert res.stable is False
-
-
-class TestRelaxationConvergedFlag:
-    """On the relaxation path ``converged`` is the residual's verdict."""
+class TestNewtonOnly:
+    """Newton is the only steady-state solver: when it fails from every
+    seed above onset, the call raises ``ConvergenceError``."""
 
     PARAMS = dict(pump_g=3e12, omega_a_rabi=16e12)
 
     @pytest.fixture
-    def stalled(self, monkeypatch):
-        """Newton off, and the relaxation hands back the weak-field
-        background with amplitude 1, which is no fixed point."""
-
-        def background(params, nu0, *args):
-            rho = weak_field_background(set_param(params, "frame.nu_ref", nu0))
-            return SpaserState(rho=rho, amplitude=1.0 + 0j), nu0
-
+    def no_newton(self, monkeypatch):
         monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
-        monkeypatch.setattr(analysis, "_relaxation_chunks", background)
 
-    def test_a_relaxed_fixed_point_is_converged(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
-        with pytest.warns(RuntimeWarning, match="relaxing to the attractor"):
-            res = steady_state_numeric(default_params(**self.PARAMS))
-        assert res.method == "ode-relaxation"
-        assert res.residual_norm <= 1e-6
-        assert res.converged is True
+    def test_newton_failure_raises_without_a_warning(self, no_newton):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError):
+                steady_state_numeric(default_params(**self.PARAMS))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_a_non_stationary_state_is_not_converged(self, stalled):
-        with pytest.warns(RuntimeWarning, match="relaxing to the attractor"):
-            res = steady_state_numeric(default_params(**self.PARAMS))
-        assert res.method == "ode-relaxation" and res.branch == "spasing"
-        assert res.residual_norm > 1e-6
-        assert res.converged is False
+    def test_no_converged_zero_branch_above_onset(self):
+        """gamma_s = 3.5e14 here and every Newton seed fails; the point
+        has no stationary zero-field answer to give."""
+        p = default_params(
+            pump_g=1641552342505.8079,
+            omega_a_rabi=45060669436769.0,
+            gamma_ph=133493569788.55713,
+            omega_b_single=6471517131321.834,
+        )
+        for path, value in (
+            ("gain.gamma21", 1024077767276.372),
+            ("gain.gamma31", 34188921643.10912),
+            ("gain.gamma32", 29728206828921.254),
+        ):
+            p = set_param(p, path, value)
+        assert analysis.growth_rate(p).gamma_s > 3e14
+        with pytest.raises(ConvergenceError):
+            steady_state_numeric(p)
 
-    @pytest.mark.filterwarnings("ignore:Newton iteration:RuntimeWarning")
-    def test_the_cli_flags_the_row(self, stalled, tmp_path):
+    def test_the_cli_flags_the_row(self, no_newton, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "model": {"drive": {"omega_a_rabi": self.PARAMS["omega_a_rabi"]}},
@@ -330,4 +302,4 @@ class TestRelaxationConvergedFlag:
         table = read_csv(out)
         (row,) = table.rows
         assert row[table.column_index("converged")] == 0.0
-        assert math.isfinite(row[table.column_index("N_n")])
+        assert math.isnan(row[table.column_index("N_n")])
