@@ -13,11 +13,15 @@ layer derives its right-hand side, Jacobian and linear solves from that.
 
 The stepper is an explicit Dormand–Prince 5(4) pair with FSAL and a
 PI step-size controller.  The plasmon loss rate is usually the fastest
-scale, so the default step cap is ``0.1 / gamma_n``.
+scale, so the default step cap is ``0.1 / gamma_n``.  One step,
+``_dp5_step``, is generated from the tableau at import as straight-line
+code, component by component (``_DP5_STEP_SOURCE``); it calls ``_rhs``
+for each stage, so the equations still live only there.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 
@@ -233,6 +237,73 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _N_COMPONENTS = 11
+
+
+def _tableau_row(prefix: str, stages: int) -> list[tuple[str, int]]:
+    """(name, j) of the coefficients ``prefix + str(j)``, j = 1..stages, of
+    one tableau row; a zero coefficient (b2, b7, e2) has no constant."""
+    return [(f"{prefix}{j}", j) for j in range(1, stages + 1) if f"{prefix}{j}" in globals()]
+
+
+def _dp5_step_source() -> str:
+    """Source of ``_dp5_step(y, k1, h, c, rtol, atol) -> (ynew, k7, err)``,
+    one Dormand–Prince step written out component by component.
+
+    Stage s evaluates ``_rhs`` at ``y_i + h * (_As1 * k1_i + ...)``, ``ynew``
+    takes the weights ``_Bj`` the same way, and ``err`` is the RMS over the
+    components of ``h * (_E1 * k1_i + ...) / (atol + rtol * max(|y_i|, |ynew_i|))``,
+    summed in component order; a non-finite ``ynew`` gives ``err = inf``.
+    ``_rhs`` is looked up in the module at call time.
+    """
+    comps = range(_N_COMPONENTS)
+
+    def names(fmt: str) -> str:
+        return ", ".join(fmt.format(i=i) for i in comps)
+
+    def combination(row: list[tuple[str, int]], i: int) -> str:
+        return " + ".join(f"{name} * k{j}_{i}" for name, j in row)
+
+    def point(row: list[tuple[str, int]]) -> str:
+        return "".join(f"        y{i} + h * ({combination(row, i)}),\n" for i in comps)
+
+    lines = [
+        "def _dp5_step(y, k1, h, c, rtol, atol):",
+        f"    {names('y{i}')} = y",
+        f"    {names('k1_{i}')} = k1",
+    ]
+    for s in range(2, 7):
+        stage = point(_tableau_row(f"_A{s}", s - 1))
+        lines.append(f"    {names(f'k{s}_{{i}}')} = _rhs((\n{stage}    ), c)")
+    lines += [
+        f"    ynew = (\n{point(_tableau_row('_B', 7))}    )",
+        "    k7 = _rhs(ynew, c)",
+        "    if not all(map(math.isfinite, ynew)):",
+        "        return ynew, k7, math.inf",
+        f"    {names('k7_{i}')} = k7",
+        f"    {names('n{i}')} = ynew",
+    ]
+    error = _tableau_row("_E", 7)
+    lines += [
+        f"    r{i} = h * ({combination(error, i)}) / (atol + rtol * max(abs(y{i}), abs(n{i})))"
+        for i in comps
+    ]
+    squares = " + ".join(f"r{i} * r{i}" for i in comps)
+    lines.append(f"    return ynew, k7, math.sqrt(({squares}) / {_N_COMPONENTS})")
+    return "\n".join(lines) + "\n"
+
+
+# The step is generated once, at import.  Its pseudo-file is registered with
+# linecache so that tracebacks show its lines; its globals are this module's.
+_DP5_STEP_FILE = "<spaserkit.dynamics._dp5_step>"
+_DP5_STEP_SOURCE = _dp5_step_source()
+linecache.cache[_DP5_STEP_FILE] = (
+    len(_DP5_STEP_SOURCE), None, _DP5_STEP_SOURCE.splitlines(True), _DP5_STEP_FILE
+)
+_scope: dict = {}
+exec(compile(_DP5_STEP_SOURCE, _DP5_STEP_FILE, "exec"), globals(), _scope)
+_dp5_step = _scope.pop("_dp5_step")
+del _scope
+
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA  # = 0.17
@@ -359,6 +430,7 @@ def integrate(
 
     c = _coeffs(params)
     pop_bound = max(1e-6, 10.0 * rel_tol)
+    p_lo, p_hi = -pop_bound, 1.0 + pop_bound
     h_floor = 64.0 * math.ulp(t_end)
 
     t = 0.0
@@ -396,29 +468,8 @@ def integrate(
                 "the problem is too stiff for the explicit 5(4) pair",
             )
 
-        k2 = _rhs([yi + h * (_A21 * a) for yi, a in zip(y, k1)], c)
-        k3 = _rhs([yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)], c)
-        k4 = _rhs([yi + h * (_A41 * a + _A42 * b + _A43 * d)
-                   for yi, a, b, d in zip(y, k1, k2, k3)], c)
-        k5 = _rhs([yi + h * (_A51 * a + _A52 * b + _A53 * d + _A54 * e)
-                   for yi, a, b, d, e in zip(y, k1, k2, k3, k4)], c)
-        k6 = _rhs([yi + h * (_A61 * a + _A62 * b + _A63 * d + _A64 * e + _A65 * f)
-                   for yi, a, b, d, e, f in zip(y, k1, k2, k3, k4, k5)], c)
-        ynew = [yi + h * (_B1 * a + _B3 * d + _B4 * e + _B5 * f + _B6 * g_)
-                for yi, a, d, e, f, g_ in zip(y, k1, k3, k4, k5, k6)]
-        k7 = _rhs(ynew, c)
+        ynew, k7, err = _dp5_step(y, k1, h, c, rel_tol, abs_tol)
         n_fev += 6
-
-        # RMS of the embedded error, scaled by atol + rtol * max(|y|, |ynew|)
-        if all(math.isfinite(v) for v in ynew):
-            acc = 0.0
-            for yi, yni, a, d, e, f, g_, q in zip(y, ynew, k1, k3, k4, k5, k6, k7):
-                sc = abs_tol + rel_tol * max(abs(yi), abs(yni))
-                r = h * (_E1 * a + _E3 * d + _E4 * e + _E5 * f + _E6 * g_ + _E7 * q) / sc
-                acc += r * r
-            err = math.sqrt(acc / _N_COMPONENTS)
-        else:
-            err = math.inf
 
         if err <= 1.0:
             t = t_end if is_last else t + h
@@ -432,13 +483,13 @@ def integrate(
                     TraceDriftError,
                     f"trace drift {tr_err:.3e} exceeds {trace_tol:.3e} at t = {t:.6e} s",
                 )
-            for p in (y[0], y[1], y[2]):
-                if not (-pop_bound <= p <= 1.0 + pop_bound):
-                    _fail(
-                        IntegrationError,
-                        f"population {p!r} left [0, 1] by more than {pop_bound:.1e} "
-                        f"at t = {t:.6e} s",
-                    )
+            if not (p_lo <= y[0] <= p_hi and p_lo <= y[1] <= p_hi and p_lo <= y[2] <= p_hi):
+                p = next(p for p in y[:3] if not p_lo <= p <= p_hi)
+                _fail(
+                    IntegrationError,
+                    f"population {p!r} left [0, 1] by more than {pop_bound:.1e} "
+                    f"at t = {t:.6e} s",
+                )
             if n_accepted % store_every == 0 or t >= t_end:
                 ts.append(t)
                 ys.append(y)

@@ -103,7 +103,7 @@ def render_csv(table: SweepTable) -> str:
     ncols = len(table.columns)
     float_row = ",".join(["%.17g"] * ncols) + "\n"
     for row in table.rows:
-        if len(row) == ncols and all(type(cell) is float for cell in row):
+        if len(row) == ncols and {float}.issuperset(map(type, row)):
             out.write(float_row % tuple(row))
         else:
             out.write(",".join(_format_cell(cell) for cell in row) + "\n")

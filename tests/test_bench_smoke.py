@@ -2,7 +2,8 @@
 
 Each run drives the CLI on small grids through the benchmark's own
 reference and invariant checks; its last output line is the JSON verdict.
-The traced ``sweep`` run also installs the per-layer tracer.
+The traced ``sweep`` and ``trajectory`` runs also install the per-layer
+tracer.
 """
 
 import json
@@ -32,8 +33,17 @@ def test_smoke_run_is_correct(workload):
     _smoke(workload)
 
 
-def test_traced_smoke_run_is_correct():
-    """The traced run wraps public names of the package by name; one that
-    is renamed or deleted breaks it here rather than only in full runs."""
-    verdict = _smoke("sweep", "--trace", "1")
-    assert verdict["metrics"]["analysis.steady_state_numeric.calls"]["value"] > 0
+# a metric each traced run reads from a wrapped layer of its workload
+TRACED_LAYER = {
+    "sweep": "analysis.steady_state_numeric.calls",
+    "trajectory": "dynamics.integrate.steps_accepted",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_LAYER))
+def test_traced_smoke_run_is_correct(workload):
+    """The traced run wraps public names of the package by name and reads
+    counts off their results; one that is renamed or deleted, or that stops
+    yielding its counts, breaks it here rather than only in full runs."""
+    verdict = _smoke(workload, "--trace", "1")
+    assert verdict["metrics"][TRACED_LAYER[workload]]["value"] > 0

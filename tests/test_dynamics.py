@@ -2,7 +2,9 @@
 
 import cmath
 import hashlib
+import linecache
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,6 +360,98 @@ class TestIntegratorWatchdogs:
         assert traj.n_rejected >= 1
         assert traj.t[-1] == 1e-14
         assert np.isfinite(traj.y).all()
+
+
+def _loop_form_step(y, k1, h, c, rtol, atol):
+    """One DP5 step in the loop form the generated ``dynamics._dp5_step``
+    replaced: each stage a comprehension over the components, the error
+    norm one loop.  The oracle of :class:`TestGeneratedStep`."""
+    d = dynamics
+    k2 = d._rhs([yi + h * (d._A21 * a) for yi, a in zip(y, k1)], c)
+    k3 = d._rhs([yi + h * (d._A31 * a + d._A32 * b) for yi, a, b in zip(y, k1, k2)], c)
+    k4 = d._rhs([yi + h * (d._A41 * a + d._A42 * b + d._A43 * e)
+                 for yi, a, b, e in zip(y, k1, k2, k3)], c)
+    k5 = d._rhs([yi + h * (d._A51 * a + d._A52 * b + d._A53 * e + d._A54 * f)
+                 for yi, a, b, e, f in zip(y, k1, k2, k3, k4)], c)
+    k6 = d._rhs([yi + h * (d._A61 * a + d._A62 * b + d._A63 * e + d._A64 * f + d._A65 * g)
+                 for yi, a, b, e, f, g in zip(y, k1, k2, k3, k4, k5)], c)
+    ynew = [yi + h * (d._B1 * a + d._B3 * e + d._B4 * f + d._B5 * g + d._B6 * q)
+            for yi, a, e, f, g, q in zip(y, k1, k3, k4, k5, k6)]
+    k7 = d._rhs(ynew, c)
+    if not all(math.isfinite(v) for v in ynew):
+        return ynew, k7, math.inf
+    acc = 0.0
+    for yi, yni, a, e, f, g, q, u in zip(y, ynew, k1, k3, k4, k5, k6, k7):
+        sc = atol + rtol * max(abs(yi), abs(yni))
+        r = h * (d._E1 * a + d._E3 * e + d._E4 * f + d._E5 * g + d._E6 * q + d._E7 * u) / sc
+        acc += r * r
+    return ynew, k7, math.sqrt(acc / 11)
+
+
+def _step_bits(result) -> bytes:
+    ynew, k7, err = result
+    return np.array([*ynew, *k7, err]).tobytes()
+
+
+class TestGeneratedStep:
+    """The DP5 step generated from the tableau is the loop form, bit for bit."""
+
+    TABLEAU_NAMES = (
+        "_A21", "_A31", "_A32", "_A41", "_A42", "_A43",
+        "_A51", "_A52", "_A53", "_A54", "_A61", "_A62", "_A63", "_A64", "_A65",
+        "_B1", "_B3", "_B4", "_B5", "_B6",
+        "_E1", "_E3", "_E4", "_E5", "_E6", "_E7",
+    )
+
+    def test_matches_the_loop_form_on_random_steps(self):
+        rng = np.random.default_rng(20121)
+        coeffs = [
+            _coeffs(p) for p in (
+                driven_params(), make_params(omega_a_rabi=0.0, pump_g=2e13),
+                default_params(pump_g=8e12, omega_a_rabi=4e12, gamma_ph=1e16),
+            )
+        ]
+        for n in range(10_000):
+            y = rng.normal(size=11) * 10.0 ** rng.uniform(-12.0, 1.0, size=11)
+            kind = rng.integers(0, 8, size=11)
+            y[kind == 0] = 0.0
+            y[kind == 1] = -0.0
+            y[kind == 2] = rng.integers(-(2**40), 2**40, size=11)[kind == 2] * 5e-324
+            y = tuple(y.tolist())
+            c = coeffs[n % 3]
+            k1 = dynamics._rhs(y, c)
+            h = 10.0 ** rng.uniform(-19.0, -13.0)
+            rtol, atol = (1e-8, 1e-10) if n % 2 else (1e-6, 1e-9)
+            assert _step_bits(dynamics._dp5_step(y, k1, h, c, rtol, atol)) == _step_bits(
+                _loop_form_step(y, k1, h, c, rtol, atol)
+            ), (y, h)
+
+    @pytest.mark.parametrize("stage", range(1, 8))
+    def test_a_nan_stage_gives_the_same_error(self, monkeypatch, stage):
+        """A NaN in stages 1 to 6 reaches ``ynew``: both forms return
+        err = inf.  A NaN in stage 7 reaches only the error norm: NaN."""
+        c = _coeffs(driven_params())
+        y = dynamics._pack(rich_state())
+        k1 = (math.nan,) * 11 if stage == 1 else dynamics._rhs(y, c)
+        _patched_rhs(monkeypatch, lambda n, dy: (math.nan,) * 11 if n == stage - 1 else dy)
+        new = dynamics._dp5_step(y, k1, 1e-16, c, 1e-8, 1e-10)
+        monkeypatch.undo()
+        _patched_rhs(monkeypatch, lambda n, dy: (math.nan,) * 11 if n == stage - 1 else dy)
+        old = _loop_form_step(y, k1, 1e-16, c, 1e-8, 1e-10)
+        if stage < 7:
+            assert new[2] == old[2] == math.inf
+        else:
+            assert math.isnan(new[2]) and math.isnan(old[2])
+        assert _step_bits(new) == _step_bits(old)
+
+    def test_source_calls_rhs_six_times_and_names_the_tableau_in_row_order(self):
+        source = dynamics._DP5_STEP_SOURCE
+        assert source.count("_rhs(") == 6
+        named = re.findall(r"\b_[ABE]\d+\b", source)
+        assert list(dict.fromkeys(named)) == list(self.TABLEAU_NAMES)
+        assert dynamics._dp5_step.__code__.co_filename == dynamics._DP5_STEP_FILE
+        assert dynamics._dp5_step.__globals__ is vars(dynamics)
+        assert linecache.getline(dynamics._DP5_STEP_FILE, 1).startswith("def _dp5_step(")
 
 
 class TestFrozenTrajectory:
