@@ -53,6 +53,7 @@ from .params import (
     default_params,
     get_param,
     param_paths,
+    param_unit,
     set_param,
 )
 from .state import DensityMatrix3, SpaserState, observables
@@ -76,6 +77,7 @@ __all__ = [
     "complex_rates",
     "default_params",
     "param_paths",
+    "param_unit",
     "get_param",
     "set_param",
     # state

@@ -67,6 +67,10 @@ __all__ = [
     "reduced_jacobian",
 ]
 
+#: Why ``spasing_frequency`` may find no frequency; callers that can go
+#: on without one catch exactly these.
+_NO_SPASING_FREQUENCY = (NonResonantDriveError, DegenerateParameterError, ConvergenceError)
+
 
 def _require_resonant_drive(params: ModelParams, what: str) -> None:
     if params.drive.delta_a != 0.0:
@@ -390,7 +394,7 @@ def frame_at_spasing_frequency(params: ModelParams) -> ModelParams:
     """
     try:
         nu = spasing_frequency(params)
-    except (NonResonantDriveError, DegenerateParameterError, ConvergenceError) as exc:
+    except _NO_SPASING_FREQUENCY as exc:
         warnings.warn(
             f"spasing frequency unavailable ({exc}); rotating at the "
             "spasing transition frequency instead",
@@ -510,13 +514,12 @@ def threshold_find(
     g_bracket: tuple[float, float] | None = None,
     *,
     cross_check: bool = True,
-    rel_tol: float = 1e-12,
 ) -> ThresholdResult:
     """Pump rate at which the zero-field state first loses net stability.
 
     Scans the bracket geometrically for the first sign change of the
     onset-balance residual, then refines the root in that bracket by
-    Brent's method to ``rel_tol`` relative accuracy.  With
+    Brent's method to a relative accuracy of 1e-12.  With
     ``cross_check`` the same root is re-derived from the linear growth
     rate and the two must agree within 1% (warning otherwise).
     """
@@ -547,7 +550,7 @@ def threshold_find(
     else:
         g_th = _brentq(
             lambda g: _residual_at_g(params, g), grid[first], grid[first + 1],
-            xtol=0.0, rtol=rel_tol, fa=values[first], fb=values[first + 1],
+            xtol=0.0, rtol=1e-12, fa=values[first], fb=values[first + 1],
         )
 
     at_th = set_param(params, "gain.pump_g", g_th)
@@ -773,7 +776,7 @@ def _zero_branch_result(params: ModelParams, stable: bool) -> SteadyStateResult:
     bg = _unpack_reduced(x).rho
     try:
         nu_s = spasing_frequency(params)
-    except (NonResonantDriveError, DegenerateParameterError, ConvergenceError):
+    except _NO_SPASING_FREQUENCY:
         nu_s = math.nan
     return SteadyStateResult(
         n_n=0.0,
@@ -844,21 +847,16 @@ def steady_state_numeric(
     plasmon = params.plasmon
     try:
         nu0 = spasing_frequency(params)
-    except (NonResonantDriveError, DegenerateParameterError, ConvergenceError):
+    except _NO_SPASING_FREQUENCY:
         nu0 = gain.omega21
 
     # seed ladder for the plasmon number
     candidates: list[float] = []
-    if gain.pump_g > gain.gamma21 and plasmon.gamma_n > 0.0:
-        # the strong- and weak-drive saturation limits (limit_strong_drive,
-        # limit_weak_drive) without their regime warnings
-        candidates.append(plasmon.n_p * (gain.pump_g - gain.gamma21) / (6.0 * plasmon.gamma_n))
-        candidates.append(
-            plasmon.n_p
-            * gain.gamma32
-            * (gain.pump_g - gain.gamma21)
-            / (2.0 * plasmon.gamma_n * (gain.pump_g + 2.0 * gain.gamma32))
-        )
+    if gain.pump_g > gain.gamma21:
+        # the strong- and weak-drive saturation limits, without their
+        # regime warnings
+        candidates.append(_strong_drive_number(params))
+        candidates.append(_weak_drive_number(params))
     if stab.gamma_s > 0.0:
         candidates.append(plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n))
     # near threshold the branch rises continuously from zero, so the
@@ -911,6 +909,21 @@ def _warn_regime(failures: list[str], what: str) -> None:
         )
 
 
+def _strong_drive_number(params: ModelParams) -> float:
+    gain, plasmon = params.gain, params.plasmon
+    return plasmon.n_p * (gain.pump_g - gain.gamma21) / (6.0 * plasmon.gamma_n)
+
+
+def _weak_drive_number(params: ModelParams) -> float:
+    gain, plasmon = params.gain, params.plasmon
+    return (
+        plasmon.n_p
+        * gain.gamma32
+        * (gain.pump_g - gain.gamma21)
+        / (2.0 * plasmon.gamma_n * (gain.pump_g + 2.0 * gain.gamma32))
+    )
+
+
 def limit_strong_drive(params: ModelParams) -> float:
     """Saturated plasmon number for a strong resonant drive.
 
@@ -933,12 +946,7 @@ def limit_strong_drive(params: ModelParams) -> float:
     if not gain.pump_g > gain.gamma21:
         failures.append("pump does not exceed gamma21")
     _warn_regime(failures, "strong-drive limit")
-    return max(
-        0.0,
-        params.plasmon.n_p
-        * (gain.pump_g - gain.gamma21)
-        / (6.0 * params.plasmon.gamma_n),
-    )
+    return max(0.0, _strong_drive_number(params))
 
 
 def limit_weak_drive(params: ModelParams) -> float:
@@ -979,12 +987,7 @@ def limit_weak_drive(params: ModelParams) -> float:
     _warn_regime(failures, "weak-drive limit")
     if gain.pump_g <= gain.gamma21:
         return 0.0
-    return (
-        params.plasmon.n_p
-        * gain.gamma32
-        * (gain.pump_g - gain.gamma21)
-        / (2.0 * params.plasmon.gamma_n * (gain.pump_g + 2.0 * gain.gamma32))
-    )
+    return _weak_drive_number(params)
 
 
 # --- coupling calibration -------------------------------------------------------
@@ -996,13 +999,13 @@ def calibrate_coupling(
     target_ratio: float = 2.0,
     omega_a_on: float = 16.0e12,
     bracket: tuple[float, float] = (1.0e12, 1.0e14),
-    n_scan: int = 13,
 ) -> float:
     """Coupling at which the drive cuts the spasing threshold by ``target_ratio``.
 
     Root-finds ``omega_b_single`` so that
     g_th(drive off) / g_th(drive = omega_a_on) equals the target within
-    1%.  When the sampled ratio curve crosses the target inside the
+    1%, from the ratio sampled at 13 log-spaced couplings across the
+    bracket.  When the sampled ratio curve crosses the target inside the
     bracket the exact crossing is returned; when it only approaches the
     target asymptotically (the threshold ratio saturates at strong
     coupling), the smallest coupling whose ratio sits within half the
@@ -1034,7 +1037,7 @@ def calibrate_coupling(
         return g_off / g_on
 
     curve: list[tuple[float, float]] = []
-    grid = np.geomspace(lo, hi, max(3, n_scan))
+    grid = np.geomspace(lo, hi, 13)
     samples = []
     for coupling in grid:
         r = ratio(float(coupling))

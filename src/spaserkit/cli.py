@@ -36,18 +36,11 @@ from .analysis import (
 from .config import PRESETS, RunConfig, parse_config, resolved_config_dict
 from .dynamics import integrate
 from .errors import CalibrationError, ConfigError, SpaserError
-from .params import ModelParams, set_param
+from .params import ModelParams, param_unit, set_param
 from .state import SpaserState
 from .tables import SweepTable, build_metadata, write_table
 
 __all__ = ["entry_point", "main"]
-
-_AXIS_UNITS = {"plasmon.n_p": "1"}
-
-
-def _axis_unit(path: str) -> str:
-    return _AXIS_UNITS.get(path, "rad/s")
-
 
 def _point_params(model: ModelParams, paths: tuple[str, ...], values: tuple) -> ModelParams:
     for path, value in zip(paths, values):
@@ -124,7 +117,7 @@ def _trajectory_point(task) -> list[tuple] | str:
     stopped it."""
     config, value = task
     axis = config.axes[0] if config.axes else None
-    rel_tol = min(max(config.tol * 1e-2, 1e-12), 1e-6)
+    rel_tol = min(max(config.options.tol * 1e-2, 1e-12), 1e-6)
     try:
         model = config.model
         if axis is not None:
@@ -132,7 +125,7 @@ def _trajectory_point(task) -> list[tuple] | str:
         params = frame_at_spasing_frequency(model) if config.frame_auto else model
         state0 = SpaserState(
             rho=weak_field_background(params),
-            amplitude=complex(config.seed_amplitude, 0.0),
+            amplitude=complex(config.options.seed_amplitude, 0.0),
         )
         traj = integrate(
             state0,
@@ -159,7 +152,7 @@ def _cmd_steady_sweep(config: RunConfig) -> tuple[SweepTable, bool]:
     paths = tuple(axis.path for axis in config.axes)
     tasks = [(config.model, paths, values) for values in _grid(config)]
     rows = _map_points(_steady_point, tasks, config.resolved_workers())
-    columns = tuple((p, _axis_unit(p)) for p in paths) + (
+    columns = tuple((p, param_unit(p)) for p in paths) + (
         ("N_n", "1"),
         ("n21", "1"),
         ("n32", "1"),
@@ -180,11 +173,11 @@ def _cmd_threshold(config: RunConfig) -> tuple[SweepTable, bool]:
         raise ConfigError("threshold supports at most 1 sweep axis")
     paths = tuple(axis.path for axis in config.axes)
     tasks = [
-        (config.model, paths, values, config.threshold_bracket)
+        (config.model, paths, values, config.threshold.bracket)
         for values in _grid(config)
     ]
     rows = _map_points(_threshold_point, tasks, config.resolved_workers())
-    columns = tuple((p, _axis_unit(p)) for p in paths) + (
+    columns = tuple((p, param_unit(p)) for p in paths) + (
         ("g_th", "rad/s"),
         ("g_th_growth", "rad/s"),
         ("nu_s", "rad/s"),
@@ -207,7 +200,7 @@ def _cmd_stability(config: RunConfig) -> tuple[SweepTable, bool]:
     extra_paths = tuple(
         p for p in paths if p not in ("drive.omega_a_rabi", "gain.pump_g")
     )
-    columns = tuple((p, _axis_unit(p)) for p in extra_paths) + (
+    columns = tuple((p, param_unit(p)) for p in extra_paths) + (
         ("omega_a", "rad/s"),
         ("pump_g", "rad/s"),
         ("gamma_s", "rad/s"),
@@ -241,7 +234,7 @@ def _cmd_trajectory(config: RunConfig) -> tuple[SweepTable, bool]:
         else:
             rows.extend(result)
     columns = (
-        tuple(((axis.path, _axis_unit(axis.path)),) if axis else ())
+        tuple(((axis.path, param_unit(axis.path)),) if axis else ())
         + (
             ("t", "s"),
             ("N_n", "1"),
@@ -263,12 +256,13 @@ def _cmd_trajectory(config: RunConfig) -> tuple[SweepTable, bool]:
 
 def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
     meta = build_metadata("calibrate", resolved_config_dict(config))
+    cal = config.calibrate
     try:
         coupling = calibrate_coupling(
             config.model,
-            target_ratio=config.calibrate_target,
-            omega_a_on=config.calibrate_omega_a_on,
-            bracket=config.calibrate_bracket,
+            target_ratio=cal.target_ratio,
+            omega_a_on=cal.omega_a_on,
+            bracket=cal.bracket,
         )
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
@@ -284,7 +278,7 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
         set_param(calibrated, "drive.omega_a_rabi", 0.0), cross_check=False
     ).g_th
     g_on = threshold_find(
-        set_param(calibrated, "drive.omega_a_rabi", config.calibrate_omega_a_on),
+        set_param(calibrated, "drive.omega_a_rabi", cal.omega_a_on),
         cross_check=False,
     ).g_th
     table = SweepTable(
@@ -301,11 +295,20 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
 
 
 _COMMANDS = {
-    "steady-sweep": _cmd_steady_sweep,
-    "threshold": _cmd_threshold,
-    "stability": _cmd_stability,
-    "trajectory": _cmd_trajectory,
-    "calibrate": _cmd_calibrate,
+    "trajectory": (_cmd_trajectory, "integrate the coupled equations in time"),
+    "steady-sweep": (
+        _cmd_steady_sweep,
+        "steady-state operating point over a parameter grid",
+    ),
+    "threshold": (
+        _cmd_threshold,
+        "pump threshold (residual root + growth-rate cross-check)",
+    ),
+    "stability": (
+        _cmd_stability,
+        "linear growth rate of the zero-field state over a grid",
+    ),
+    "calibrate": (_cmd_calibrate, "fit the coupling to the threshold-ratio target"),
 }
 
 
@@ -316,46 +319,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "stability and time-domain runs, emitted as figure-ready tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "trajectory": "integrate the coupled equations in time",
-        "steady-sweep": "steady-state operating point over a parameter grid",
-        "threshold": "pump threshold (residual root + growth-rate cross-check)",
-        "stability": "linear growth rate of the zero-field state over a grid",
-        "calibrate": "fit the coupling to the threshold-ratio target",
-    }
-    for name, text in helps.items():
+    for name, (_handler, text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--workers", type=int, help="parallel grid workers")
-        cmd.add_argument(
-            "--tol", type=float, help="relative integration tolerance (trajectory only)"
-        )
-        cmd.add_argument(
-            "--seed-amplitude",
-            type=float,
-            dest="seed_amplitude",
-            help="initial plasmon amplitude of a time-domain run (trajectory only)",
-        )
+        if name == "trajectory":
+            cmd.add_argument("--tol", type=float, help="relative integration tolerance")
+            cmd.add_argument(
+                "--seed-amplitude",
+                type=float,
+                dest="seed_amplitude",
+                help="initial plasmon amplitude of the run",
+            )
         cmd.add_argument("--preset", choices=sorted(PRESETS), help="parameter preset")
     return parser
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    overrides = {}
     if args.workers is not None:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        config = replace(config, workers=args.workers)
-    if args.tol is not None:
-        if args.tol <= 0.0:
-            raise ConfigError("--tol must be positive")
-        config = replace(config, tol=args.tol)
-    if args.seed_amplitude is not None:
-        if args.seed_amplitude <= 0.0:
-            raise ConfigError("--seed-amplitude must be positive")
-        config = replace(config, seed_amplitude=args.seed_amplitude)
-    return config
+        overrides["workers"] = args.workers
+    for dest in ("tol", "seed_amplitude"):  # registered on trajectory only
+        value = getattr(args, dest, None)
+        if value is not None:
+            if value <= 0.0:
+                raise ConfigError(f"--{dest.replace('_', '-')} must be positive")
+            overrides[dest] = value
+    return replace(config, options=replace(config.options, **overrides))
 
 
 def entry_point(argv=None) -> int:
@@ -367,7 +361,7 @@ def entry_point(argv=None) -> int:
     try:
         config = parse_config(args.config, preset=args.preset)
         config = _apply_overrides(config, args)
-        table, partial = _COMMANDS[args.command](config)
+        table, partial = _COMMANDS[args.command][0](config)
         text = write_table(table, args.out, args.format)
         if args.out is None:
             sys.stdout.write(text)

@@ -20,14 +20,18 @@ A config file is a JSON object with (all optional) sections:
 ``options``
     ``tol`` (relative tolerance of the time integration) and
     ``seed_amplitude`` (initial plasmon amplitude of a time-domain
-    run), both read by ``trajectory`` only, and ``workers``.
+    run), both read by ``trajectory`` only, which alone takes the
+    ``--tol`` and ``--seed-amplitude`` overrides; and ``workers``
+    (``--workers`` on every command).
 ``threshold``
     ``bracket``: ``[g_lo, g_hi]`` pump bracket for threshold scans.
 ``calibrate``
     ``bracket`` (coupling bracket ``[w_lo, w_hi]``), ``target_ratio``
     and ``omega_a_on`` for the coupling calibration command.
 
-Unknown keys anywhere are rejected with their dotted path.
+Unknown keys anywhere are rejected with their dotted path.  The
+sections after ``sweep`` are the frozen dataclasses below: their field
+names are the keys and their defaults the only statement of the defaults.
 """
 
 from __future__ import annotations
@@ -35,15 +39,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import groupby
 
 from .errors import ConfigError
-from .params import ModelParams, default_params, param_paths, set_param
+from .params import ModelParams, default_params, param_paths, param_unit, set_param
 from .units import ev_to_angular
 
 __all__ = [
     "SweepAxis",
     "TrajectoryOptions",
+    "RunOptions",
+    "ThresholdOptions",
+    "CalibrateOptions",
     "RunConfig",
     "parse_config",
     "build_config",
@@ -55,13 +63,11 @@ __all__ = [
 
 _TIME_UNITS = {"s": 1.0, "fs": 1e-15, "ps": 1e-12}
 
+#: model group -> its leaf names, read off the parameter paths
 _MODEL_LEAVES = {
-    "gain": ("omega21", "omega32", "gamma21", "gamma31", "gamma32", "gamma_ph", "pump_g"),
-    "plasmon": ("omega_n", "gamma_n", "n_p", "omega_b_single"),
-    "drive": ("omega_a_rabi", "delta_a"),
-    "frame": ("nu_ref",),
+    group: tuple(path.partition(".")[2] for path in paths)
+    for group, paths in groupby(param_paths(), key=lambda path: path.partition(".")[0])
 }
-_PLAIN_LEAVES = {"plasmon.n_p"}
 
 
 @dataclass(frozen=True)
@@ -79,24 +85,40 @@ class TrajectoryOptions:
 
 
 @dataclass(frozen=True)
+class RunOptions:
+    tol: float = 1e-6
+    seed_amplitude: float = 1e-3
+    workers: int | None = None
+
+
+@dataclass(frozen=True)
+class ThresholdOptions:
+    bracket: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
+class CalibrateOptions:
+    bracket: tuple[float, float] = (1.0e12, 1.0e14)
+    target_ratio: float = 2.0
+    omega_a_on: float = 16.0e12
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description (model + sweep + solver options)."""
+    """Fully validated run description: model, sweep and one field per
+    further config-file section."""
 
     model: ModelParams
     frame_auto: bool
     axes: tuple[SweepAxis, ...]
     trajectory: TrajectoryOptions
-    tol: float = 1e-6
-    seed_amplitude: float = 1e-3
-    workers: int | None = None
-    threshold_bracket: tuple[float, float] | None = None
-    calibrate_bracket: tuple[float, float] = (1.0e12, 1.0e14)
-    calibrate_target: float = 2.0
-    calibrate_omega_a_on: float = 16.0e12
+    options: RunOptions
+    threshold: ThresholdOptions
+    calibrate: CalibrateOptions
 
     def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
+        if self.options.workers is not None:
+            return self.options.workers
         return os.cpu_count() or 1
 
 
@@ -113,12 +135,27 @@ def _reject_unknown(node: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown config key '{where}'")
 
 
+def _section(data: dict, name: str, cls) -> dict:
+    """The config-file section ``name``, whose keys are the fields of ``cls``."""
+    node = _require_mapping(data.get(name, {}), name)
+    _reject_unknown(node, [f.name for f in fields(cls)], name)
+    return node
+
+
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {node!r}")
     value = float(node)
     if not math.isfinite(value):
         raise ConfigError(f"'{path}' must be finite, got {node!r}")
+    return value
+
+
+def _positive(node: dict, section: str, cls, key: str) -> float:
+    """``node[key]`` as a positive number, by default ``cls``'s default."""
+    value = _number(node.get(key, getattr(cls, key)), f"{section}.{key}")
+    if value <= 0.0:
+        raise ConfigError(f"'{section}.{key}' must be positive")
     return value
 
 
@@ -186,7 +223,7 @@ def _apply_model(data: dict) -> tuple[ModelParams, bool]:
                     continue
                 frame_auto = False
                 value = _quantity(raw, f"model.{dotted}", kind="frequency")
-            elif dotted in _PLAIN_LEAVES:
+            elif param_unit(dotted) == "1":
                 value = _number(raw, f"model.{dotted}")
             else:
                 value = _quantity(raw, f"model.{dotted}", kind="frequency")
@@ -265,8 +302,7 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError(f"'sweep': duplicate axis path {axis.path!r}")
         seen.add(axis.path)
 
-    traj_node = _require_mapping(data.get("trajectory", {}), "trajectory")
-    _reject_unknown(traj_node, ("t_end", "store_every"), "trajectory")
+    traj_node = _section(data, "trajectory", TrajectoryOptions)
     traj = TrajectoryOptions()
     if "t_end" in traj_node:
         t_end = _quantity(traj_node["t_end"], "trajectory.t_end", kind="time")
@@ -279,36 +315,29 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError("'trajectory.store_every' must be an integer >= 1")
         traj = replace(traj, store_every=every)
 
-    opt_node = _require_mapping(data.get("options", {}), "options")
-    _reject_unknown(opt_node, ("tol", "seed_amplitude", "workers"), "options")
-    tol = _number(opt_node.get("tol", 1e-6), "options.tol")
-    if tol <= 0.0:
-        raise ConfigError("'options.tol' must be positive")
-    seed = _number(opt_node.get("seed_amplitude", 1e-3), "options.seed_amplitude")
-    if seed <= 0.0:
-        raise ConfigError("'options.seed_amplitude' must be positive")
-    workers = opt_node.get("workers")
+    opt_node = _section(data, "options", RunOptions)
+    tol = _positive(opt_node, "options", RunOptions, "tol")
+    seed = _positive(opt_node, "options", RunOptions, "seed_amplitude")
+    workers = opt_node.get("workers", RunOptions.workers)
     if workers is not None and (
         isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
     ):
         raise ConfigError("'options.workers' must be an integer >= 1 or null")
 
-    th_node = _require_mapping(data.get("threshold", {}), "threshold")
-    _reject_unknown(th_node, ("bracket",), "threshold")
-    bracket = None
+    th_node = _section(data, "threshold", ThresholdOptions)
+    bracket = ThresholdOptions.bracket
     if "bracket" in th_node:
         bracket = _parse_bracket(th_node["bracket"], "threshold.bracket")
 
-    cal_node = _require_mapping(data.get("calibrate", {}), "calibrate")
-    _reject_unknown(cal_node, ("bracket", "target_ratio", "omega_a_on"), "calibrate")
-    cal_bracket = (1.0e12, 1.0e14)
+    cal_node = _section(data, "calibrate", CalibrateOptions)
+    cal_bracket = CalibrateOptions.bracket
     if "bracket" in cal_node:
         cal_bracket = _parse_bracket(cal_node["bracket"], "calibrate.bracket")
-    cal_target = _number(cal_node.get("target_ratio", 2.0), "calibrate.target_ratio")
-    if cal_target <= 0.0:
-        raise ConfigError("'calibrate.target_ratio' must be positive")
+    cal_target = _positive(cal_node, "calibrate", CalibrateOptions, "target_ratio")
     cal_on = _quantity(
-        cal_node.get("omega_a_on", 16.0e12), "calibrate.omega_a_on", kind="frequency"
+        cal_node.get("omega_a_on", CalibrateOptions.omega_a_on),
+        "calibrate.omega_a_on",
+        kind="frequency",
     )
     if cal_on < 0.0:
         raise ConfigError("'calibrate.omega_a_on' must be nonnegative")
@@ -318,13 +347,11 @@ def build_config(data: dict) -> RunConfig:
         frame_auto=frame_auto,
         axes=axes,
         trajectory=traj,
-        tol=tol,
-        seed_amplitude=seed,
-        workers=workers,
-        threshold_bracket=bracket,
-        calibrate_bracket=cal_bracket,
-        calibrate_target=cal_target,
-        calibrate_omega_a_on=cal_on,
+        options=RunOptions(tol=tol, seed_amplitude=seed, workers=workers),
+        threshold=ThresholdOptions(bracket=bracket),
+        calibrate=CalibrateOptions(
+            bracket=cal_bracket, target_ratio=cal_target, omega_a_on=cal_on
+        ),
     )
 
 
@@ -345,56 +372,15 @@ def resolved_config_dict(config: RunConfig) -> dict:
 
     This is what gets embedded in table metadata so that every figure
     is reproducible from its own file; execution details such as the
-    worker count are deliberately excluded.
+    worker count are deliberately excluded.  Tuples stay tuples here and
+    serialize as JSON lists.
     """
-    model = config.model
-    return {
-        "model": {
-            "gain": {
-                "omega21": model.gain.omega21,
-                "omega32": model.gain.omega32,
-                "gamma21": model.gain.gamma21,
-                "gamma31": model.gain.gamma31,
-                "gamma32": model.gain.gamma32,
-                "gamma_ph": model.gain.gamma_ph,
-                "pump_g": model.gain.pump_g,
-            },
-            "plasmon": {
-                "omega_n": model.plasmon.omega_n,
-                "gamma_n": model.plasmon.gamma_n,
-                "n_p": model.plasmon.n_p,
-                "omega_b_single": model.plasmon.omega_b_single,
-            },
-            "drive": {
-                "omega_a_rabi": model.drive.omega_a_rabi,
-                "delta_a": model.drive.delta_a,
-            },
-            "frame": {
-                "nu_ref": "auto" if config.frame_auto else model.frame.nu_ref,
-            },
-        },
-        "sweep": [
-            {"path": axis.path, "values": list(axis.values)} for axis in config.axes
-        ],
-        "trajectory": {
-            "t_end": config.trajectory.t_end,
-            "store_every": config.trajectory.store_every,
-        },
-        "options": {
-            "tol": config.tol,
-            "seed_amplitude": config.seed_amplitude,
-        },
-        "threshold": {
-            "bracket": list(config.threshold_bracket)
-            if config.threshold_bracket
-            else None
-        },
-        "calibrate": {
-            "bracket": list(config.calibrate_bracket),
-            "target_ratio": config.calibrate_target,
-            "omega_a_on": config.calibrate_omega_a_on,
-        },
-    }
+    resolved = asdict(config)
+    if resolved.pop("frame_auto"):
+        resolved["model"]["frame"]["nu_ref"] = "auto"
+    resolved["sweep"] = resolved.pop("axes")
+    del resolved["options"]["workers"]
+    return resolved
 
 
 #: Parameter presets for the four bundled figure-style sweeps.  Values

@@ -33,6 +33,10 @@ from .state import DensityMatrix3, SpaserState
 
 __all__ = ["Trajectory", "equations_of_motion", "integrate"]
 
+#: Bound on |trace(rho) - 1| for a state handed to the equations of
+#: motion and for every state ``integrate`` starts from or accepts.
+_TRACE_TOL = 1e-6
+
 
 # --- packed representation -------------------------------------------------
 # y = (p1, p2, p3, Re r21, Im r21, Re r31, Im r31, Re r32, Im r32, Re a, Im a)
@@ -197,7 +201,7 @@ def equations_of_motion(state: SpaserState, params: ModelParams) -> SpaserState:
     The returned object's fields hold d/dt of the corresponding stored
     components (its ``rho`` is a derivative, not a density matrix).
     """
-    state.rho.validate(trace_tol=1e-6, diag_tol=math.inf)
+    state.rho.validate(trace_tol=_TRACE_TOL, diag_tol=math.inf)
     dy = _rhs(_pack(state), _coeffs(params))
     return _unpack(dy)
 
@@ -403,7 +407,6 @@ def integrate(
     max_step: float | None = None,
     max_steps: int = 10_000_000,
     store_every: int = 1,
-    trace_tol: float = 1e-6,
 ) -> Trajectory:
     """Adaptively integrate the equations of motion from t=0 to ``t_end``.
 
@@ -413,7 +416,8 @@ def integrate(
     step are always stored).
 
     Raises :class:`StiffnessError` on step-size underflow,
-    :class:`TraceDriftError` if |trace(rho) - 1| exceeds ``trace_tol``,
+    :class:`TraceDriftError` if |trace(rho) - 1| exceeds 1e-6 (the
+    start state must meet the same bound),
     and :class:`IntegrationError` if populations leave [0, 1] by more
     than max(1e-6, 10*rel_tol) or the step budget is exhausted.
     """
@@ -421,7 +425,7 @@ def integrate(
         raise IntegrationError(f"t_end must be a finite time > 0 s, got {t_end!r}")
     if rel_tol <= 0.0 or abs_tol <= 0.0:
         raise IntegrationError("rel_tol and abs_tol must be > 0")
-    state0.rho.validate(trace_tol=trace_tol)
+    state0.rho.validate(trace_tol=_TRACE_TOL)
     if max_step is None:
         max_step = 0.1 / params.plasmon.gamma_n
     if not max_step > 0.0:
@@ -478,10 +482,10 @@ def integrate(
             n_accepted += 1
 
             tr_err = abs(y[0] + y[1] + y[2] - 1.0)
-            if tr_err > trace_tol:
+            if tr_err > _TRACE_TOL:
                 _fail(
                     TraceDriftError,
-                    f"trace drift {tr_err:.3e} exceeds {trace_tol:.3e} at t = {t:.6e} s",
+                    f"trace drift {tr_err:.3e} exceeds {_TRACE_TOL:.3e} at t = {t:.6e} s",
                 )
             if not (p_lo <= y[0] <= p_hi and p_lo <= y[1] <= p_hi and p_lo <= y[2] <= p_hi):
                 p = next(p for p in y[:3] if not p_lo <= p <= p_hi)

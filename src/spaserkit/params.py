@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .errors import ConfigError, RegimeWarning
 from .units import ev_to_angular
@@ -33,6 +34,7 @@ __all__ = [
     "get_param",
     "set_param",
     "param_paths",
+    "param_unit",
     "DEFAULT_OMEGA_N",
     "DEFAULT_OMEGA_21",
     "DEFAULT_OMEGA_32",
@@ -254,14 +256,13 @@ def default_params(
     pump_g: float = 8.0e12,
     omega_a_rabi: float = 0.0,
     gamma_ph: float = 0.0,
-    nu_ref: float | None = None,
-    omega_b_single: float | None = None,
+    omega_b_single: float = DEFAULT_OMEGA_B_SINGLE,
 ) -> ModelParams:
     """Default configuration with the most common knobs exposed.
 
-    ``nu_ref`` defaults to the spasing transition frequency; pass an
-    explicit value (for instance a self-consistent spasing frequency from
-    the analysis module) to rotate at another reference.
+    The frame always rotates at the spasing transition frequency
+    ``DEFAULT_OMEGA_21``; :func:`set_param` on ``frame.nu_ref`` moves it,
+    for instance to a self-consistent spasing frequency.
     """
     return ModelParams(
         gain=GainParams(
@@ -277,54 +278,48 @@ def default_params(
             omega_n=DEFAULT_OMEGA_N,
             gamma_n=DEFAULT_GAMMA_N,
             n_p=DEFAULT_N_P,
-            omega_b_single=(
-                DEFAULT_OMEGA_B_SINGLE if omega_b_single is None else omega_b_single
-            ),
+            omega_b_single=omega_b_single,
         ),
         drive=DriveParams(omega_a_rabi=omega_a_rabi, delta_a=0.0),
-        frame=FrameParams(nu_ref=DEFAULT_OMEGA_21 if nu_ref is None else nu_ref),
+        frame=FrameParams(nu_ref=DEFAULT_OMEGA_21),
     )
 
 
-_GROUPS = ("gain", "plasmon", "drive", "frame")
+#: Dotted parameter path -> (group, field), in declaration order.
+_PATHS = {
+    f"{group}.{leaf.name}": (group, leaf.name)
+    for group, cls in get_type_hints(ModelParams).items()
+    for leaf in fields(cls)
+}
 
 
-def _split_path(path: str) -> tuple[str, str]:
-    group, dot, name = path.partition(".")
-    if not dot or not name or group not in _GROUPS:
+def _lookup(path: str) -> tuple[str, str]:
+    try:
+        return _PATHS[path]
+    except KeyError:
         raise ConfigError(
-            f"unknown parameter path {path!r}; expected '<group>.<field>' with "
-            f"group one of {', '.join(_GROUPS)}"
-        )
-    return group, name
+            f"unknown parameter path {path!r}; expected one of {', '.join(_PATHS)}"
+        ) from None
 
 
 def param_paths() -> tuple[str, ...]:
     """All valid dotted parameter paths, e.g. ``gain.pump_g``."""
-    paths: list[str] = []
-    for group, cls in (
-        ("gain", GainParams),
-        ("plasmon", PlasmonParams),
-        ("drive", DriveParams),
-        ("frame", FrameParams),
-    ):
-        paths.extend(f"{group}.{f.name}" for f in fields(cls))
-    return tuple(paths)
+    return tuple(_PATHS)
+
+
+def param_unit(path: str) -> str:
+    """Unit of a parameter: "1" for the chromophore count, else rad/s."""
+    _lookup(path)
+    return "1" if path == "plasmon.n_p" else "rad/s"
 
 
 def get_param(params: ModelParams, path: str) -> float:
     """Read one scalar parameter by dotted path."""
-    group, name = _split_path(path)
-    section = getattr(params, group)
-    if name not in {f.name for f in fields(section)}:
-        raise ConfigError(f"unknown parameter path {path!r}")
-    return getattr(section, name)
+    group, name = _lookup(path)
+    return getattr(getattr(params, group), name)
 
 
 def set_param(params: ModelParams, path: str, value: float) -> ModelParams:
     """Return a copy of ``params`` with one scalar replaced (validated)."""
-    group, name = _split_path(path)
-    section = getattr(params, group)
-    if name not in {f.name for f in fields(section)}:
-        raise ConfigError(f"unknown parameter path {path!r}")
-    return replace(params, **{group: replace(section, **{name: value})})
+    group, name = _lookup(path)
+    return replace(params, **{group: replace(getattr(params, group), **{name: value})})

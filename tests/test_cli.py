@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line sweep tool."""
 
+import argparse
 import json
 import math
 import os
@@ -193,6 +194,16 @@ class TestTrajectory:
 
         assert bits(table.rows) == bits(expected)
 
+    def test_trajectory_options_land_in_the_metadata(self, tmp_path):
+        cfg = write_config(tmp_path, {"trajectory": {"t_end": 1e-15}})
+        out = str(tmp_path / "traj.json")
+        assert entry_point(
+            ["trajectory", "--config", cfg, "--out", out, "--format", "json",
+             "--tol", "1e-7", "--seed-amplitude", "1e-2"]
+        ) == 0
+        options = read_json(out).metadata["config"]["options"]
+        assert options == {"tol": 1e-7, "seed_amplitude": 1e-2}
+
 
 class TestSteadySweep:
     def test_rows_in_lexicographic_axis_order(self, tmp_path):
@@ -303,6 +314,16 @@ class TestSteadySweep:
         assert table.rows[0][0] == 8e12
 
 
+    def test_chromophore_count_axis_is_dimensionless(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"sweep": [{"path": "plasmon.n_p", "values": [60000.0]}]},
+        )
+        assert entry_point(["steady-sweep", "--config", cfg]) == 0
+        header = data_lines(capsys.readouterr().out)[0]
+        assert header.startswith("plasmon.n_p (1),N_n (1)")
+
+
 class TestThreshold:
     def test_threshold_sweep_matches_direct_calls(self, tmp_path):
         cfg = write_config(
@@ -405,6 +426,41 @@ class TestErrors:
 
     def test_unknown_command_usage_error(self):
         assert entry_point(["frobnicate", "--config", "x"]) == 1
+
+
+class TestKnobInventory:
+    """Every option each subcommand accepts.  A new knob must show up here;
+    one that a command does not read is a usage error, never ignored."""
+
+    COMMON = {"help", "config", "out", "format", "workers", "preset"}
+    EXPECTED = {
+        "trajectory": COMMON | {"tol", "seed_amplitude"},
+        "steady-sweep": COMMON,
+        "threshold": COMMON,
+        "stability": COMMON,
+        "calibrate": COMMON,
+    }
+
+    def test_option_dests_per_command(self):
+        (subparsers,) = [
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {a.dest for a in sub._actions}
+            for name, sub in subparsers.choices.items()
+        }
+        assert found == self.EXPECTED
+
+    @pytest.mark.parametrize("flag", ["--tol", "--seed-amplitude"])
+    def test_trajectory_only_flag_is_a_usage_error_elsewhere(
+        self, tmp_path, capsys, flag
+    ):
+        cfg = write_config(
+            tmp_path, {"sweep": [{"path": "gain.pump_g", "values": [8e12]}]}
+        )
+        assert entry_point(["steady-sweep", "--config", cfg, flag, "1e-8"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_script_is_installed():

@@ -11,9 +11,11 @@ from spaserkit.config import (
     load_config_dict,
     merge_dicts,
     parse_config,
+    resolved_config_dict,
 )
 from spaserkit.errors import ConfigError
 from spaserkit.params import default_params
+from spaserkit.tables import config_hash
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -145,12 +147,12 @@ class TestOptionsAndBrackets:
     def test_workers_resolution(self):
         assert build_config({"options": {"workers": 3}}).resolved_workers() == 3
         auto = build_config({})
-        assert auto.workers is None
+        assert auto.options.workers is None
         assert auto.resolved_workers() >= 1
 
     def test_threshold_bracket(self):
         cfg = build_config({"threshold": {"bracket": [1e10, 1e14]}})
-        assert cfg.threshold_bracket == (1e10, 1e14)
+        assert cfg.threshold.bracket == (1e10, 1e14)
         with pytest.raises(ConfigError, match="low < high"):
             build_config({"threshold": {"bracket": [1e14, 1e10]}})
 
@@ -159,13 +161,48 @@ class TestOptionsAndBrackets:
             {"calibrate": {"bracket": [1e12, 1e13], "target_ratio": 1.5,
                            "omega_a_on": 2e13}}
         )
-        assert cfg.calibrate_bracket == (1e12, 1e13)
-        assert cfg.calibrate_target == 1.5
-        assert cfg.calibrate_omega_a_on == 2e13
+        assert cfg.calibrate.bracket == (1e12, 1e13)
+        assert cfg.calibrate.target_ratio == 1.5
+        assert cfg.calibrate.omega_a_on == 2e13
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tol"):
             build_config({"options": {"tol": 0.0}})
+
+
+class TestResolvedConfig:
+    """The embedded config and its hash, pinned so that a schema refactor
+    cannot silently change what every existing table records."""
+
+    HASHES = {
+        None: "c7180d7f733443409d9336d54c9f42f0a9c3da5f8d2939ea36c8ab9d4611eeda",
+        "fig2": "3f00b998f0be0890640499c5d56087a353ffaf98e6537dd61045df56719185d8",
+        "fig3": "781e0cef9af07479aeb304cbb8006ec7c48ac93c728bb14fd64a47e656c8b68d",
+        "fig4a": "1e90a393625590d6eb9113f83ffc135bdc1432012f90a9336cb8fbf9f03837bb",
+        "fig4b": "6777409935380c6d704bba99edf877e2b6e5522e4b167f42e3d1a174d821d3fb",
+    }
+
+    @pytest.mark.parametrize("preset", list(HASHES))
+    def test_config_hash_is_pinned(self, preset):
+        data = {} if preset is None else PRESETS[preset]
+        assert config_hash(resolved_config_dict(build_config(data))) == self.HASHES[preset]
+
+    def test_every_preset_is_pinned(self):
+        assert set(PRESETS) == set(self.HASHES) - {None}
+
+    def test_workers_excluded_and_frame_auto_folded_in(self):
+        resolved = resolved_config_dict(
+            build_config({"options": {"workers": 3, "tol": 1e-7}})
+        )
+        assert resolved["options"] == {"tol": 1e-7, "seed_amplitude": 1e-3}
+        assert resolved["model"]["frame"] == {"nu_ref": "auto"}
+        assert set(resolved) == {
+            "model", "sweep", "trajectory", "options", "threshold", "calibrate",
+        }
+        fixed = resolved_config_dict(
+            build_config({"model": {"frame": {"nu_ref": OMEGA_21}}})
+        )
+        assert fixed["model"]["frame"] == {"nu_ref": OMEGA_21}
 
 
 class TestPresets:

@@ -1,6 +1,7 @@
 """Parameter containers, validation, and the complex coherence rates."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from spaserkit.params import (
     default_params,
     get_param,
     param_paths,
+    param_unit,
     set_param,
 )
 
@@ -149,3 +151,27 @@ class TestParamPaths:
     def test_unknown_path_rejected(self, defaults):
         with pytest.raises(ConfigError, match="bogus"):
             set_param(defaults, "gain.bogus", 1.0)
+
+    def test_paths_are_the_dataclass_leaves_in_declaration_order(self, defaults):
+        leaves = tuple(
+            f"{group.name}.{leaf.name}"
+            for group in fields(defaults)
+            for leaf in fields(getattr(defaults, group.name))
+        )
+        assert param_paths() == leaves
+
+    def test_units(self):
+        assert param_unit("plasmon.n_p") == "1"
+        others = {param_unit(p) for p in param_paths() if p != "plasmon.n_p"}
+        assert others == {"rad/s"}
+
+    @pytest.mark.parametrize("path", ["gain.bogus", "bogus.pump_g", "gain", ""])
+    def test_unknown_path_named_in_the_error(self, defaults, path):
+        for call in (
+            lambda: get_param(defaults, path),
+            lambda: set_param(defaults, path, 1.0),
+            lambda: param_unit(path),
+        ):
+            with pytest.raises(ConfigError, match="unknown parameter path") as err:
+                call()
+            assert repr(path) in str(err.value)
