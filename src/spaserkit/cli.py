@@ -5,23 +5,33 @@ Subcommands: ``trajectory`` | ``steady-sweep`` | ``threshold`` |
 layered over a ``--preset``), evaluates the requested quantity over the
 sweep grid, and emits a figure-ready CSV or JSON table.
 
+Each of the four grid commands is one entry of ``_GRIDS``: what one grid
+point computes, the table's columns, the axis counts it accepts, and
+what a failed point becomes (a NaN row; a NaN row that still exits 0,
+the ``threshold`` sentinel; or a ``<command> failed at`` line on stderr,
+for ``trajectory``).  One runner, ``_run_grid``, runs every entry.
+``calibrate`` is not a grid; it runs in the calling process.
+
 Exit codes: 0 — success; 2 — partial convergence (a table is still
 emitted with the unconverged rows flagged); 1 — config or usage error.
 
 Grid points (for ``trajectory``, its axis values) are evaluated by
 independent workers sharing only the immutable config; rows and the
-``trajectory failed at`` messages are collected in lexicographic axis
-order, so output is bit-identical regardless of worker count.  Warnings
-raised inside a pool worker are printed by that worker.
+``failed at`` messages are collected in lexicographic axis order, so
+output is bit-identical regardless of worker count.  Warnings raised
+inside a pool worker are printed by that worker.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,24 +46,11 @@ from .analysis import (
 from .config import PRESETS, RunConfig, parse_config, resolved_config_dict
 from .dynamics import integrate
 from .errors import CalibrationError, ConfigError, SpaserError
-from .params import ModelParams, param_unit, set_param
+from .params import ModelParams, get_param, param_unit, set_param
 from .state import SpaserState
 from .tables import SweepTable, build_metadata, write_table
 
 __all__ = ["entry_point", "main"]
-
-def _point_params(model: ModelParams, paths: tuple[str, ...], values: tuple) -> ModelParams:
-    for path, value in zip(paths, values):
-        model = set_param(model, path, float(value))
-    return model
-
-
-def _grid(config: RunConfig) -> list[tuple]:
-    points = [()]
-    for axis in config.axes:
-        points = [p + (v,) for p in points for v in axis.values]
-    return points
-
 
 def _map_points(worker, tasks, n_workers: int) -> list:
     if n_workers <= 1 or len(tasks) <= 1:
@@ -64,194 +61,155 @@ def _map_points(worker, tasks, n_workers: int) -> list:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-# --- per-point workers (top level so they pickle) ----------------------------
+# --- what one grid point computes ---------------------------------------------
+# Each returns the point's rows (sequences of cells) without their axis
+# columns.  They call the analysis layer through this module's globals,
+# which a tracer may patch.
 
 
-def _steady_point(task) -> tuple:
-    model, paths, values = task
-    try:
-        params = _point_params(model, paths, values)
-        res = steady_state_numeric(params)
-        return values + (res.n_n, res.n21, res.n32, res.nu_s, res.converged)
-    except SpaserError:
-        return values + (math.nan, math.nan, math.nan, math.nan, False)
+def _steady(params: ModelParams, config: RunConfig) -> list:
+    res = steady_state_numeric(params)
+    return [(res.n_n, res.n21, res.n32, res.nu_s, res.converged)]
 
 
-def _threshold_point(task) -> tuple:
-    model, paths, values, bracket = task
-    try:
-        params = _point_params(model, paths, values)
-        res = threshold_find(params, bracket)
-        growth = math.nan if res.g_th_growth is None else res.g_th_growth
-        return values + (res.g_th, growth, res.nu_s)
-    except SpaserError:
-        return values + (math.nan, math.nan, math.nan)
+def _threshold(params: ModelParams, config: RunConfig) -> list:
+    res = threshold_find(params, config.threshold.bracket)
+    growth = math.nan if res.g_th_growth is None else res.g_th_growth
+    return [(res.g_th, growth, res.nu_s)]
 
 
-def _stability_point(task) -> tuple:
-    model, paths, values = task
-    extra = tuple(
-        v for p, v in zip(paths, values)
-        if p not in ("drive.omega_a_rabi", "gain.pump_g")
-    )
-    overrides = dict(zip(paths, values))
-    head = extra + (
-        float(overrides.get("drive.omega_a_rabi", model.drive.omega_a_rabi)),
-        float(overrides.get("gain.pump_g", model.gain.pump_g)),
-    )
-    try:
-        params = _point_params(model, paths, values)
-        res = growth_rate(params)
-        return head + (
-            res.gamma_s,
-            res.gamma_s_over_gamma_n,
-            res.leading.real,
-            res.leading.imag,
-        )
-    except SpaserError:
-        return head + (math.nan, math.nan, math.nan, math.nan)
+def _stability(params: ModelParams, config: RunConfig) -> list:
+    res = growth_rate(params)
+    return [(res.gamma_s, res.gamma_s_over_gamma_n, res.leading.real, res.leading.imag)]
 
 
-def _trajectory_point(task) -> list[tuple] | str:
-    """Rows of one axis value's run, or the message of the error that
-    stopped it."""
-    config, value = task
-    axis = config.axes[0] if config.axes else None
+def _trajectory(params: ModelParams, config: RunConfig) -> list:
+    if config.frame_auto:
+        params = frame_at_spasing_frequency(params)
+    rho = weak_field_background(params)
+    state0 = SpaserState(rho=rho, amplitude=complex(config.options.seed_amplitude, 0.0))
     rel_tol = min(max(config.options.tol * 1e-2, 1e-12), 1e-6)
-    try:
-        model = config.model
-        if axis is not None:
-            model = set_param(model, axis.path, float(value))
-        params = frame_at_spasing_frequency(model) if config.frame_auto else model
-        state0 = SpaserState(
-            rho=weak_field_background(params),
-            amplitude=complex(config.options.seed_amplitude, 0.0),
-        )
-        traj = integrate(
-            state0,
-            params,
-            config.trajectory.t_end,
-            rel_tol=rel_tol,
-            abs_tol=rel_tol * 1e-2,
-            store_every=config.trajectory.store_every,
-        )
-    except SpaserError as exc:
-        return str(exc)
+    traj = integrate(
+        state0, params, config.trajectory.t_end, rel_tol=rel_tol,
+        abs_tol=rel_tol * 1e-2, store_every=config.trajectory.store_every,
+    )
     # t, N_n, p1, p2, p3, Re rho21, Im rho21, trace error
     block = np.column_stack((traj.t, traj.n_n, traj.y[:, :5], traj.trace_error))
-    prefix: tuple = () if axis is None else (float(value),)
-    return [prefix + tuple(row) for row in block.tolist()]
+    return block.tolist()
 
 
-# --- commands -----------------------------------------------------------------
+@dataclass(frozen=True)
+class _Grid:
+    """One grid command.
+
+    ``compute(params, config)`` gives the rows of one point and ``columns``
+    their names and units.  Each row starts with the swept values; the
+    parameters of ``lead`` (path, column name) come after the other axes,
+    swept or not.  ``axes`` is the (min, max) number of sweep axes.
+    A point that raises a :class:`SpaserError` becomes the row ``failed``
+    or, when that is None, a ``<command> failed at`` line on stderr; it
+    makes the run partial (exit 2) unless ``failure_is_partial`` is false.
+    """
+
+    help: str
+    compute: Callable[[ModelParams, RunConfig], list]
+    columns: tuple[tuple[str, str], ...]
+    axes: tuple[int, int]
+    axes_error: str
+    failed: tuple | None
+    failure_is_partial: bool = True
+    lead: tuple[tuple[str, str], ...] = ()
 
 
-def _cmd_steady_sweep(config: RunConfig) -> tuple[SweepTable, bool]:
-    if not config.axes:
-        raise ConfigError("steady-sweep needs between 1 and 3 sweep axes")
-    paths = tuple(axis.path for axis in config.axes)
-    tasks = [(config.model, paths, values) for values in _grid(config)]
-    rows = _map_points(_steady_point, tasks, config.resolved_workers())
-    columns = tuple((p, param_unit(p)) for p in paths) + (
-        ("N_n", "1"),
-        ("n21", "1"),
-        ("n32", "1"),
-        ("nu_s", "rad/s"),
-        ("converged", "1"),
+_GRIDS = {
+    "trajectory": _Grid(
+        help="integrate the coupled equations in time",
+        compute=_trajectory,
+        columns=(("t", "s"), ("N_n", "1"), ("rho11", "1"), ("rho22", "1"),
+                 ("rho33", "1"), ("re_rho21", "1"), ("im_rho21", "1"),
+                 ("trace_err", "1")),
+        axes=(0, 1),
+        axes_error="trajectory supports at most 1 sweep axis",
+        failed=None,
+    ),
+    "steady-sweep": _Grid(
+        help="steady-state operating point over a parameter grid",
+        compute=_steady,
+        columns=(("N_n", "1"), ("n21", "1"), ("n32", "1"), ("nu_s", "rad/s"),
+                 ("converged", "1")),
+        axes=(1, 3),
+        axes_error="steady-sweep needs between 1 and 3 sweep axes",
+        failed=(math.nan,) * 4 + (False,),
+    ),
+    "threshold": _Grid(
+        help="pump threshold (residual root + growth-rate cross-check)",
+        compute=_threshold,
+        columns=(("g_th", "rad/s"), ("g_th_growth", "rad/s"), ("nu_s", "rad/s")),
+        axes=(0, 1),
+        axes_error="threshold supports at most 1 sweep axis",
+        # a missing threshold is a sentinel row, not a failure
+        failed=(math.nan,) * 3,
+        failure_is_partial=False,
+    ),
+    "stability": _Grid(
+        help="linear growth rate of the zero-field state over a grid",
+        compute=_stability,
+        columns=(("gamma_s", "rad/s"), ("gamma_s_over_gamma_n", "1"),
+                 ("leading_re", "rad/s"), ("leading_im", "rad/s")),
+        axes=(0, 2),
+        axes_error="stability supports at most 2 sweep axes",
+        failed=(math.nan,) * 4,
+        lead=(("drive.omega_a_rabi", "omega_a"), ("gain.pump_g", "pump_g")),
+    ),
+}
+
+
+def _point(task) -> tuple[list[tuple], str | None]:
+    """Rows of one grid point, and the message of the error that stopped
+    it (None if none did)."""
+    command, config, values = task
+    grid = _GRIDS[command]
+    lead = dict(grid.lead)
+    swept = dict(zip((axis.path for axis in config.axes), values))
+    head = tuple(v for p, v in swept.items() if p not in lead) + tuple(
+        float(swept.get(p, get_param(config.model, p))) for p in lead
     )
-    partial = any(not row[-1] for row in rows)
-    table = SweepTable(
-        columns=columns,
-        rows=tuple(rows),
-        metadata=build_metadata("steady-sweep", resolved_config_dict(config)),
-    )
-    return table, partial
+    try:
+        params = config.model
+        for path, value in swept.items():
+            params = set_param(params, path, float(value))
+        return [head + tuple(cells) for cells in grid.compute(params, config)], None
+    except SpaserError as exc:
+        return ([] if grid.failed is None else [head + grid.failed]), str(exc)
 
 
-def _cmd_threshold(config: RunConfig) -> tuple[SweepTable, bool]:
-    if len(config.axes) > 1:
-        raise ConfigError("threshold supports at most 1 sweep axis")
-    paths = tuple(axis.path for axis in config.axes)
-    tasks = [
-        (config.model, paths, values, config.threshold.bracket)
-        for values in _grid(config)
-    ]
-    rows = _map_points(_threshold_point, tasks, config.resolved_workers())
-    columns = tuple((p, param_unit(p)) for p in paths) + (
-        ("g_th", "rad/s"),
-        ("g_th_growth", "rad/s"),
-        ("nu_s", "rad/s"),
-    )
-    # a missing threshold is a sentinel row, not a failure
-    table = SweepTable(
-        columns=columns,
-        rows=tuple(rows),
-        metadata=build_metadata("threshold", resolved_config_dict(config)),
-    )
-    return table, False
-
-
-def _cmd_stability(config: RunConfig) -> tuple[SweepTable, bool]:
-    if len(config.axes) > 2:
-        raise ConfigError("stability supports at most 2 sweep axes")
-    paths = tuple(axis.path for axis in config.axes)
-    tasks = [(config.model, paths, values) for values in _grid(config)]
-    rows = _map_points(_stability_point, tasks, config.resolved_workers())
-    extra_paths = tuple(
-        p for p in paths if p not in ("drive.omega_a_rabi", "gain.pump_g")
-    )
-    columns = tuple((p, param_unit(p)) for p in extra_paths) + (
-        ("omega_a", "rad/s"),
-        ("pump_g", "rad/s"),
-        ("gamma_s", "rad/s"),
-        ("gamma_s_over_gamma_n", "1"),
-        ("leading_re", "rad/s"),
-        ("leading_im", "rad/s"),
-    )
-    partial = any(math.isnan(row[len(extra_paths) + 2]) for row in rows)
-    table = SweepTable(
-        columns=columns,
-        rows=tuple(rows),
-        metadata=build_metadata("stability", resolved_config_dict(config)),
-    )
-    return table, partial
-
-
-def _cmd_trajectory(config: RunConfig) -> tuple[SweepTable, bool]:
-    if len(config.axes) > 1:
-        raise ConfigError("trajectory supports at most 1 sweep axis")
-    axis = config.axes[0] if config.axes else None
-    axis_values: tuple = axis.values if axis else (None,)
-    tasks = [(config, value) for value in axis_values]
-    results = _map_points(_trajectory_point, tasks, config.resolved_workers())
+def _run_grid(command: str, config: RunConfig) -> tuple[SweepTable, bool]:
+    """Every point of the grid in lexicographic axis order, as one table."""
+    grid = _GRIDS[command]
+    if not grid.axes[0] <= len(config.axes) <= grid.axes[1]:
+        raise ConfigError(grid.axes_error)
+    points = list(itertools.product(*(axis.values for axis in config.axes)))
+    tasks = [(command, config, values) for values in points]
+    results = _map_points(_point, tasks, config.resolved_workers())
+    paths = [axis.path for axis in config.axes]
     rows: list[tuple] = []
     partial = False
-    for value, result in zip(axis_values, results):
-        if isinstance(result, str):
-            where = "the base point" if axis is None else f"{axis.path}={value}"
-            print(f"trajectory failed at {where}: {result}", file=sys.stderr)
-            partial = True
-        else:
-            rows.extend(result)
+    for values, (point_rows, error) in zip(points, results):
+        rows.extend(point_rows)
+        if error is not None:
+            partial = partial or grid.failure_is_partial
+            if grid.failed is None:
+                where = ", ".join(f"{p}={v}" for p, v in zip(paths, values))
+                print(f"{command} failed at {where or 'the base point'}: {error}",
+                      file=sys.stderr)
+    lead = dict(grid.lead)
     columns = (
-        tuple(((axis.path, param_unit(axis.path)),) if axis else ())
-        + (
-            ("t", "s"),
-            ("N_n", "1"),
-            ("rho11", "1"),
-            ("rho22", "1"),
-            ("rho33", "1"),
-            ("re_rho21", "1"),
-            ("im_rho21", "1"),
-            ("trace_err", "1"),
-        )
+        tuple((p, param_unit(p)) for p in paths if p not in lead)
+        + tuple((name, param_unit(p)) for p, name in grid.lead)
+        + grid.columns
     )
-    table = SweepTable(
-        columns=columns,
-        rows=tuple(rows),
-        metadata=build_metadata("trajectory", resolved_config_dict(config)),
-    )
-    return table, partial
+    meta = build_metadata(command, resolved_config_dict(config))
+    return SweepTable(columns=columns, rows=tuple(rows), metadata=meta), partial
 
 
 def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
@@ -295,19 +253,10 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
 
 
 _COMMANDS = {
-    "trajectory": (_cmd_trajectory, "integrate the coupled equations in time"),
-    "steady-sweep": (
-        _cmd_steady_sweep,
-        "steady-state operating point over a parameter grid",
-    ),
-    "threshold": (
-        _cmd_threshold,
-        "pump threshold (residual root + growth-rate cross-check)",
-    ),
-    "stability": (
-        _cmd_stability,
-        "linear growth rate of the zero-field state over a grid",
-    ),
+    **{
+        name: (functools.partial(_run_grid, name), grid.help)
+        for name, grid in _GRIDS.items()
+    },
     "calibrate": (_cmd_calibrate, "fit the coupling to the threshold-ratio target"),
 }
 
@@ -324,9 +273,20 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--workers", type=int, help="parallel grid workers")
+        cmd.add_argument(
+            "--workers",
+            type=int,
+            help="parallel grid workers" if name in _GRIDS
+            else "accepted and ignored: calibrate runs in the calling process",
+        )
         if name == "trajectory":
-            cmd.add_argument("--tol", type=float, help="relative integration tolerance")
+            cmd.add_argument(
+                "--tol",
+                type=float,
+                help="integration tolerance X: steps run at relative tolerance "
+                "min(max(X/100, 1e-12), 1e-6) and absolute tolerance a "
+                "hundredth of that, so every X >= 1e-4 gives the same run",
+            )
             cmd.add_argument(
                 "--seed-amplitude",
                 type=float,

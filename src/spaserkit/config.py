@@ -18,11 +18,13 @@ A config file is a JSON object with (all optional) sections:
     ``t_end`` (number in seconds or ``{"value", "unit": "s"|"fs"|"ps"}``)
     and ``store_every`` for time-domain runs.
 ``options``
-    ``tol`` (relative tolerance of the time integration) and
+    ``tol`` (integration tolerance: the steps run at relative tolerance
+    ``min(max(tol/100, 1e-12), 1e-6)`` and absolute tolerance a
+    hundredth of that, so every ``tol >= 1e-4`` gives the same run) and
     ``seed_amplitude`` (initial plasmon amplitude of a time-domain
     run), both read by ``trajectory`` only, which alone takes the
     ``--tol`` and ``--seed-amplitude`` overrides; and ``workers``
-    (``--workers`` on every command).
+    (``--workers`` on every command; ``calibrate`` ignores it).
 ``threshold``
     ``bracket``: ``[g_lo, g_hi]`` pump bracket for threshold scans.
 ``calibrate``

@@ -371,15 +371,6 @@ class Trajectory:
         """Plasmon number per stored step."""
         return self.y[:, 9] ** 2 + self.y[:, 10] ** 2
 
-    @property
-    def populations(self) -> np.ndarray:
-        """(n, 3) array of p1, p2, p3 per stored step."""
-        return self.y[:, 0:3]
-
-    @property
-    def rho21(self) -> np.ndarray:
-        return self.y[:, 3] + 1j * self.y[:, 4]
-
     def time_to_reach_plasmon_number(self, level: float) -> float | None:
         """First time the plasmon number crosses ``level`` (linear
         interpolation between stored steps); None if it never does."""

@@ -40,10 +40,21 @@ TRACED_LAYER = {
 }
 
 
+# the wrapped call each grid point of the workload's command makes once
+POINT_LAYER = {
+    "sweep": "analysis.steady_state_numeric.calls",
+    "trajectory": "dynamics.integrate.calls",
+}
+
+
 @pytest.mark.parametrize("workload", sorted(TRACED_LAYER))
 def test_traced_smoke_run_is_correct(workload):
     """The traced run wraps public names of the package by name and reads
     counts off their results; one that is renamed or deleted, or that stops
-    yielding its counts, breaks it here rather than only in full runs."""
+    yielding its counts, breaks it here rather than only in full runs.  The
+    CLI must make its per-point calls through those names, so every grid
+    point shows up as one traced call."""
     verdict = _smoke(workload, "--trace", "1")
-    assert verdict["metrics"][TRACED_LAYER[workload]]["value"] > 0
+    metrics = verdict["metrics"]
+    assert metrics[TRACED_LAYER[workload]]["value"] > 0
+    assert metrics["cli.points"]["value"] == metrics[POINT_LAYER[workload]]["value"]

@@ -8,17 +8,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import OMEGA_B_CALIBRATED
 import spaserkit
 from spaserkit import cli
-from spaserkit.analysis import growth_rate, steady_state_numeric, threshold_find
+from spaserkit.analysis import (
+    frame_at_spasing_frequency,
+    growth_rate,
+    steady_state_numeric,
+    threshold_find,
+    weak_field_background,
+)
 from spaserkit.cli import entry_point
 from spaserkit.dynamics import integrate
 from spaserkit.errors import RegimeWarning
 from spaserkit.params import default_params
+from spaserkit.state import SpaserState
 from spaserkit.tables import read_csv, read_json
+
+# the checkout under test, for runs in a fresh interpreter
+SRC = str(Path(spaserkit.__file__).resolve().parent.parent)
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -29,6 +40,25 @@ def write_config(tmp_path, data, name="run.json"):
 
 def data_lines(text):
     return [l for l in text.splitlines() if not l.startswith("#")]
+
+
+def bits(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+def run_at_workers(cfg, command, *flags):
+    """Exit code, stdout (timestamp line aside) and stderr of one run at
+    --workers 1 and one at --workers 2."""
+    runs = []
+    for workers in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spaserkit", command, "--config", cfg,
+             "--workers", workers, *flags],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        )
+        out = [l for l in proc.stdout.splitlines() if not l.startswith("# timestamp")]
+        runs.append((proc.returncode, out, proc.stderr))
+    return runs
 
 
 class TestTrajectory:
@@ -188,11 +218,28 @@ class TestTrajectory:
                      rho.rho21.real, rho.rho21.imag, traj.trace_error[i])
                 )
         assert len(expected) > 10
-
-        def bits(rows):
-            return [[float(x).hex() for x in row] for row in rows]
-
         assert bits(table.rows) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "tol, rel_tol, abs_tol",
+        [("1e-8", 1e-10, 1e-12), ("1e-3", 1e-6, 1e-8)],  # the second is clamped
+    )
+    def test_tol_sets_the_step_tolerances(self, tmp_path, tol, rel_tol, abs_tol):
+        """--tol X runs the steps at rel_tol min(max(X/100, 1e-12), 1e-6)
+        and abs_tol a hundredth of that.  (At X = 1e-5 the hundredth is
+        1.0000000000000001e-07, not the float 1e-7, so X is chosen where
+        it is exact.)"""
+        cfg = write_config(tmp_path, {"trajectory": {"t_end": 2e-14, "store_every": 1}})
+        out = str(tmp_path / "traj.csv")
+        assert entry_point(["trajectory", "--config", cfg, "--out", out, "--tol", tol]) == 0
+        params = frame_at_spasing_frequency(default_params())
+        state0 = SpaserState(rho=weak_field_background(params), amplitude=1e-3 + 0j)
+        traj = integrate(state0, params, 2e-14, rel_tol=rel_tol, abs_tol=abs_tol)
+        expected = np.column_stack(
+            (traj.t, traj.n_n, traj.y[:, :5], traj.trace_error)
+        ).tolist()
+        assert len(expected) > 10
+        assert bits(read_csv(out).rows) == bits(expected)
 
     def test_trajectory_options_land_in_the_metadata(self, tmp_path):
         cfg = write_config(tmp_path, {"trajectory": {"t_end": 1e-15}})
@@ -350,6 +397,16 @@ class TestThreshold:
         assert len(table.rows) == 1
         assert math.isnan(table.rows[0][table.column_index("g_th")])
 
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"sweep": [{"path": "drive.omega_a_rabi", "values": [0.0, 8e12, 16e12]}]},
+        )
+        runs = run_at_workers(cfg, "threshold")
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert len(data_lines("\n".join(runs[0][1]))) == 4
+
 
 class TestStability:
     def test_columns_and_growth_values(self, tmp_path):
@@ -372,6 +429,41 @@ class TestStability:
         ref = growth_rate(default_params(pump_g=8e12, omega_a_rabi=16e12))
         assert gs[-1] == pytest.approx(ref.gamma_s, rel=1e-9)
         assert all(v == 16e12 for v in table.column("omega_a"))
+
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, {})
+        runs = run_at_workers(cfg, "stability", "--preset", "fig4a")
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert len(data_lines("\n".join(runs[0][1]))) > 10
+
+    def test_invalid_points_are_nan_rows_after_the_other_axes(self, tmp_path):
+        """Other axes come first, then omega_a and pump_g (swept or not);
+        a point the model rejects keeps its raw swept values."""
+        cfg = write_config(
+            tmp_path,
+            {"sweep": [
+                {"path": "plasmon.n_p", "values": [0.5, 6e4]},
+                {"path": "gain.pump_g", "values": [-1.0, 8e12]},
+            ]},
+        )
+        out = str(tmp_path / "st.csv")
+        assert entry_point(["stability", "--config", cfg, "--out", out]) == 2
+        table = read_csv(out)
+        assert table.columns == (
+            ("plasmon.n_p", "1"), ("omega_a", "rad/s"), ("pump_g", "rad/s"),
+            ("gamma_s", "rad/s"), ("gamma_s_over_gamma_n", "1"),
+            ("leading_re", "rad/s"), ("leading_im", "rad/s"),
+        )
+        omega_a = default_params().drive.omega_a_rabi
+        heads = [row[:3] for row in table.rows]
+        assert heads == [
+            (0.5, omega_a, -1.0), (0.5, omega_a, 8e12),
+            (6e4, omega_a, -1.0), (6e4, omega_a, 8e12),
+        ]
+        valid = [all(math.isfinite(x) for x in row[3:]) for row in table.rows]
+        assert valid == [False, False, False, True]
+        assert all(math.isnan(x) for row in table.rows[:3] for x in row[3:])
 
 
 class TestCalibrate:
@@ -427,6 +519,26 @@ class TestErrors:
     def test_unknown_command_usage_error(self):
         assert entry_point(["frobnicate", "--config", "x"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, n_axes, message",
+        [
+            ("steady-sweep", 0, "steady-sweep needs between 1 and 3 sweep axes"),
+            ("threshold", 2, "threshold supports at most 1 sweep axis"),
+            ("stability", 3, "stability supports at most 2 sweep axes"),
+            ("trajectory", 2, "trajectory supports at most 1 sweep axis"),
+        ],
+    )
+    def test_axis_count_outside_the_command_range(
+        self, tmp_path, capsys, command, n_axes, message
+    ):
+        paths = ("gain.pump_g", "drive.omega_a_rabi", "gain.gamma_ph")
+        cfg = write_config(
+            tmp_path,
+            {"sweep": [{"path": p, "values": [8e12]} for p in paths[:n_axes]]},
+        )
+        assert entry_point([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestKnobInventory:
     """Every option each subcommand accepts.  A new knob must show up here;
@@ -465,9 +577,8 @@ class TestKnobInventory:
 
 def test_console_script_is_installed():
     # run the checkout under test even when the package is not installed
-    src = str(Path(spaserkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spaserkit", "--help"],
         env=env,
