@@ -7,25 +7,28 @@ sweep grid, and emits a figure-ready CSV or JSON table.
 
 Each of the four grid commands is one entry of ``_GRIDS``: what one grid
 point computes, the table's columns, the axis counts it accepts, and
-what a failed point becomes (a NaN row; a NaN row that still exits 0,
-the ``threshold`` sentinel; or a ``<command> failed at`` line on stderr,
-for ``trajectory``).  One runner, ``_run_grid``, runs every entry.
-``calibrate`` is not a grid; it runs in the calling process.
+what a failed point becomes (a NaN row, or a ``<command> failed at``
+line on stderr for ``trajectory``).  One runner, ``_run_grid``, runs
+every entry.  ``calibrate`` is not a grid; it runs in the calling process.
 
 Exit codes: 0 — success; 2 — partial convergence (a table is still
 emitted with the unconverged rows flagged); 1 — config or usage error.
+For ``threshold``, only a missing threshold (``NoThresholdError``) is a
+sentinel: its NaN row exits 0.  Any other error at a point, such as a
+swept value the model rejects, also writes the NaN row but exits 2.
 
 Grid points (for ``trajectory``, its axis values) are evaluated by
-independent workers sharing only the immutable config; rows and the
-``failed at`` messages are collected in lexicographic axis order, so
-output is bit-identical regardless of worker count.  Warnings raised
-inside a pool worker are printed by that worker.
+independent workers sharing only the immutable config.  The worker that
+computes a point also renders its rows in the output format
+(``tables.render_row``), so the calling process only collects the lines
+and the ``failed at`` messages in lexicographic axis order and writes
+them: output is bit-identical regardless of worker count.  Warnings
+raised inside a pool worker are printed by that worker.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import sys
@@ -45,10 +48,10 @@ from .analysis import (
 )
 from .config import PRESETS, RunConfig, parse_config, resolved_config_dict
 from .dynamics import integrate
-from .errors import CalibrationError, ConfigError, SpaserError
+from .errors import CalibrationError, ConfigError, NoThresholdError, SpaserError
 from .params import ModelParams, get_param, param_unit, set_param
 from .state import SpaserState
-from .tables import SweepTable, build_metadata, write_table
+from .tables import SweepTable, build_metadata, render_row, write_table
 
 __all__ = ["entry_point", "main"]
 
@@ -108,7 +111,7 @@ class _Grid:
     swept or not.  ``axes`` is the (min, max) number of sweep axes.
     A point that raises a :class:`SpaserError` becomes the row ``failed``
     or, when that is None, a ``<command> failed at`` line on stderr; it
-    makes the run partial (exit 2) unless ``failure_is_partial`` is false.
+    makes the run partial (exit 2) unless the error is a ``sentinel``.
     """
 
     help: str
@@ -117,7 +120,7 @@ class _Grid:
     axes: tuple[int, int]
     axes_error: str
     failed: tuple | None
-    failure_is_partial: bool = True
+    sentinel: tuple[type[SpaserError], ...] = ()
     lead: tuple[tuple[str, str], ...] = ()
 
 
@@ -147,9 +150,9 @@ _GRIDS = {
         columns=(("g_th", "rad/s"), ("g_th_growth", "rad/s"), ("nu_s", "rad/s")),
         axes=(0, 1),
         axes_error="threshold supports at most 1 sweep axis",
-        # a missing threshold is a sentinel row, not a failure
         failed=(math.nan,) * 3,
-        failure_is_partial=False,
+        # a missing threshold is a sentinel row, not a failure
+        sentinel=(NoThresholdError,),
     ),
     "stability": _Grid(
         help="linear growth rate of the zero-field state over a grid",
@@ -164,10 +167,10 @@ _GRIDS = {
 }
 
 
-def _point(task) -> tuple[list[tuple], str | None]:
-    """Rows of one grid point, and the message of the error that stopped
-    it (None if none did)."""
-    command, config, values = task
+def _point(task) -> tuple[list[str], str | None]:
+    """Rows of one grid point, rendered in ``fmt``, and the message of the
+    error that stopped it (None if none did, or if it is a sentinel)."""
+    command, config, values, fmt = task
     grid = _GRIDS[command]
     lead = dict(grid.lead)
     swept = dict(zip((axis.path for axis in config.axes), values))
@@ -178,26 +181,29 @@ def _point(task) -> tuple[list[tuple], str | None]:
         params = config.model
         for path, value in swept.items():
             params = set_param(params, path, float(value))
-        return [head + tuple(cells) for cells in grid.compute(params, config)], None
+        rows = grid.compute(params, config)
+        return [render_row(head + tuple(cells), fmt) for cells in rows], None
     except SpaserError as exc:
-        return ([] if grid.failed is None else [head + grid.failed]), str(exc)
+        rows = [] if grid.failed is None else [render_row(head + grid.failed, fmt)]
+        return rows, (None if isinstance(exc, grid.sentinel) else str(exc))
 
 
-def _run_grid(command: str, config: RunConfig) -> tuple[SweepTable, bool]:
-    """Every point of the grid in lexicographic axis order, as one table."""
+def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bool]:
+    """Every point of the grid in lexicographic axis order, as one table
+    whose rows are already rendered in ``fmt``."""
     grid = _GRIDS[command]
     if not grid.axes[0] <= len(config.axes) <= grid.axes[1]:
         raise ConfigError(grid.axes_error)
     points = list(itertools.product(*(axis.values for axis in config.axes)))
-    tasks = [(command, config, values) for values in points]
+    tasks = [(command, config, values, fmt) for values in points]
     results = _map_points(_point, tasks, config.resolved_workers())
     paths = [axis.path for axis in config.axes]
-    rows: list[tuple] = []
+    rows: list[str] = []
     partial = False
     for values, (point_rows, error) in zip(points, results):
         rows.extend(point_rows)
         if error is not None:
-            partial = partial or grid.failure_is_partial
+            partial = True
             if grid.failed is None:
                 where = ", ".join(f"{p}={v}" for p, v in zip(paths, values))
                 print(f"{command} failed at {where or 'the base point'}: {error}",
@@ -252,12 +258,9 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
     return table, False
 
 
-_COMMANDS = {
-    **{
-        name: (functools.partial(_run_grid, name), grid.help)
-        for name, grid in _GRIDS.items()
-    },
-    "calibrate": (_cmd_calibrate, "fit the coupling to the threshold-ratio target"),
+_HELP = {
+    **{name: grid.help for name, grid in _GRIDS.items()},
+    "calibrate": "fit the coupling to the threshold-ratio target",
 }
 
 
@@ -268,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stability and time-domain runs, emitted as figure-ready tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, text) in _COMMANDS.items():
+    for name, text in _HELP.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", help="output path (default: stdout)")
@@ -321,7 +324,10 @@ def entry_point(argv=None) -> int:
     try:
         config = parse_config(args.config, preset=args.preset)
         config = _apply_overrides(config, args)
-        table, partial = _COMMANDS[args.command][0](config)
+        if args.command in _GRIDS:
+            table, partial = _run_grid(args.command, config, args.format)
+        else:
+            table, partial = _cmd_calibrate(config)
         text = write_table(table, args.out, args.format)
         if args.out is None:
             sys.stdout.write(text)

@@ -23,6 +23,16 @@ OMEGA_32 = 759633723998063.6
 OMEGA_B_CALIBRATED = 2.9331131080030633e13
 
 
+def strip_timestamp(text: str) -> str:
+    """A rendered table without its timestamp line, the one line that
+    differs between two runs of the same command (the ``# timestamp:``
+    comment of a CSV file, the ``"timestamp":`` member of a JSON one)."""
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.lstrip().startswith(("# timestamp:", '"timestamp":'))
+    )
+
+
 def make_params(
     *,
     gamma21: float = 4e12,
@@ -69,4 +79,5 @@ __all__ = [
     "OMEGA_B_CALIBRATED",
     "make_params",
     "default_params",
+    "strip_timestamp",
 ]

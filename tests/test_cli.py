@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import OMEGA_B_CALIBRATED
+from helpers import OMEGA_B_CALIBRATED, strip_timestamp
 import spaserkit
-from spaserkit import cli
+from spaserkit import cli, tables
 from spaserkit.analysis import (
     frame_at_spasing_frequency,
     growth_rate,
@@ -56,8 +56,7 @@ def run_at_workers(cfg, command, *flags):
              "--workers", workers, *flags],
             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         )
-        out = [l for l in proc.stdout.splitlines() if not l.startswith("# timestamp")]
-        runs.append((proc.returncode, out, proc.stderr))
+        runs.append((proc.returncode, strip_timestamp(proc.stdout).splitlines(), proc.stderr))
     return runs
 
 
@@ -148,12 +147,9 @@ class TestTrajectory:
                  "--out", str(out), "--workers", workers]
             )
             assert code == 0
-            texts.append(
-                [l for l in out.read_text().splitlines()
-                 if not l.startswith("# timestamp")]
-            )
+            texts.append(strip_timestamp(out.read_text()))
         assert texts[0] == texts[1]
-        drives = {line.split(",")[0] for line in data_lines("\n".join(texts[0]))[1:]}
+        drives = {line.split(",")[0] for line in data_lines(texts[0])[1:]}
         assert drives == {"0", "12000000000000", "24000000000000"}
 
     def test_failed_points_are_reported_in_axis_order(self, tmp_path, capsys):
@@ -190,6 +186,35 @@ class TestTrajectory:
         )
         pumps = [line.split(",")[0] for line in lines[1:]]
         assert pumps == ["8000000000000"] * 82 + ["4000000000000"] * 82
+
+    def test_write_table_sees_what_the_tracer_reads(self, tmp_path, monkeypatch):
+        """A benchmark tracer reads ``len(table.rows)`` and the returned
+        text of ``write_table``.  On a pooled run, with the rows rendered
+        in the workers, they are still the data rows and the file's text."""
+        calls = []
+
+        def recording_write_table(table, path, fmt):
+            text = tables.write_table(table, path, fmt)
+            calls.append((table, text))
+            return text
+
+        monkeypatch.setattr(cli, "write_table", recording_write_table)
+        cfg = write_config(
+            tmp_path,
+            {"sweep": [{"path": "drive.omega_a_rabi", "values": [0.0, 8e12, 16e12]}],
+             "trajectory": {"t_end": 1e-14, "store_every": 1}},
+        )
+        out = tmp_path / "traj.csv"
+        assert entry_point(
+            ["trajectory", "--config", cfg, "--preset", "fig4b",
+             "--out", str(out), "--workers", "2"]
+        ) == 0
+        ((table, text),) = calls
+        file_text = out.read_text()
+        n_data = len(data_lines(file_text)) - 1  # the header aside
+        assert n_data > 30
+        assert len(table.rows) == n_data
+        assert text == file_text
 
     def test_rows_equal_the_per_step_states(self, tmp_path, monkeypatch):
         """Each row is the stored step's state read field by field, so N_n
@@ -323,10 +348,7 @@ class TestSteadySweep:
         assert entry_point(
             ["steady-sweep", "--config", cfg, "--out", outn, "--workers", "3"]
         ) == 0
-        strip = lambda p: [
-            l for l in open(p).read().splitlines()
-            if not l.startswith("# timestamp")
-        ]
+        strip = lambda p: strip_timestamp(open(p).read())
         assert strip(out1) == strip(outn)
 
     def test_requires_a_sweep_axis(self, tmp_path, capsys):
@@ -396,6 +418,19 @@ class TestThreshold:
         table = read_csv(out)
         assert len(table.rows) == 1
         assert math.isnan(table.rows[0][table.column_index("g_th")])
+
+    def test_rejected_swept_value_is_a_failure_not_the_sentinel(self, tmp_path):
+        """A swept value the model rejects is no missing threshold: its NaN
+        row is written and the run is partial, as in steady-sweep."""
+        cfg = write_config(
+            tmp_path,
+            {"sweep": [{"path": "plasmon.n_p", "values": [0.5, 6e4]}]},
+        )
+        out = str(tmp_path / "th.csv")
+        assert entry_point(["threshold", "--config", cfg, "--out", out]) == 2
+        bad, good = read_csv(out).rows
+        assert bad[0] == 0.5 and all(math.isnan(x) for x in bad[1:])
+        assert good[0] == 6e4 and all(math.isfinite(x) for x in good[1:])
 
     def test_worker_count_does_not_change_the_bytes(self, tmp_path):
         cfg = write_config(

@@ -1,15 +1,18 @@
 """Serialization of sweep tables: exact round trips and diffable output."""
 
 import hashlib
+import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spaserkit import tables
+from helpers import strip_timestamp
+from spaserkit import cli, tables
 from spaserkit.errors import ConfigError
 from spaserkit.tables import (
     SweepTable,
@@ -20,8 +23,55 @@ from spaserkit.tables import (
     read_json,
     render_csv,
     render_json,
+    render_row,
     write_table,
 )
+
+
+# -- the oracle: the whole-table renderers as they were before rows were
+# rendered one at a time (by the pool workers, in the CLI) --------------------
+
+
+def seed_render_csv(table: SweepTable) -> str:
+    out = io.StringIO()
+    meta = dict(table.metadata)
+    timestamp = meta.pop("timestamp", None)
+    for key in sorted(meta):
+        value = meta[key]
+        if isinstance(value, dict):
+            value = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        out.write(f"# {key}: {value}\n")
+    if timestamp is not None:
+        out.write(f"# timestamp: {timestamp}\n")
+    out.write(",".join(table.column_labels()) + "\n")
+    ncols = len(table.columns)
+    float_row = ",".join(["%.17g"] * ncols) + "\n"
+    for row in table.rows:
+        if len(row) == ncols and {float}.issuperset(map(type, row)):
+            out.write(float_row % tuple(row))
+        else:
+            out.write(",".join(_format_cell(cell) for cell in row) + "\n")
+    return out.getvalue()
+
+
+def _seed_jsonable_cell(value):
+    if isinstance(value, bool):
+        return 1 if value else 0
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def seed_render_json(table: SweepTable) -> str:
+    payload = {
+        "metadata": table.metadata,
+        "columns": [{"name": name, "unit": unit} for name, unit in table.columns],
+        "rows": [[_seed_jsonable_cell(cell) for cell in row] for row in table.rows],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+SEED_RENDER = {"csv": seed_render_csv, "json": seed_render_json}
 
 
 def sample_table(timestamp="2026-01-02T03:04:05+00:00"):
@@ -77,8 +127,7 @@ class TestCsv:
     def test_byte_stable_modulo_timestamp(self):
         a = render_csv(sample_table(timestamp="2026-01-01T00:00:00+00:00"))
         b = render_csv(sample_table(timestamp="2026-12-31T23:59:59+00:00"))
-        strip = lambda s: [l for l in s.splitlines() if not l.startswith("# timestamp")]
-        assert strip(a) == strip(b)
+        assert strip_timestamp(a) == strip_timestamp(b)
         assert a != b
 
 
@@ -104,8 +153,7 @@ class TestWholeRowFormatting:
     @example(rows=[(math.nan, -math.nan, 5e-324, -2.2250738585072009e-308)])
     @example(rows=[(1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 1.0 / 3.0)])
     def test_float_rows_match_the_cell_formatter(self, rows):
-        table = SweepTable(columns=FOUR_FLOATS, rows=tuple(rows))
-        assert body(render_csv(table)) == cell_by_cell(rows)
+        assert "".join(render_row(row, "csv") for row in rows) == cell_by_cell(rows)
 
     def test_mixed_rows_take_the_cell_formatter(self, monkeypatch):
         rows = (
@@ -127,9 +175,47 @@ class TestWholeRowFormatting:
         monkeypatch.setattr(tables, "_format_cell", recording)
         text = render_csv(SweepTable(columns=FOUR_FLOATS, rows=rows))
         assert body(text) == expected
-        # every cell of the first six rows, none of the all-float last row
-        assert len(formatted) == 4 * 5 + 2
-        assert formatted[-2:] == [0.5, 0.25]
+        # every cell of the first five rows, none of the two all-float rows
+        # (a row is rendered without the table, so a short one is no exception)
+        assert len(formatted) == 4 * 5
+
+
+CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from(["x", 'say "hi"', "tab\there"]),
+)
+
+
+class TestRowByRowRendering:
+    """The renderers format each row with ``render_row``; a row that is
+    already a line is written as it is.  Either way the document is the
+    oracle's, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(CELLS, max_size=5).map(tuple), max_size=6))
+    @example(rows=[])
+    @example(rows=[(), (math.nan, True, 0.5, -1)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_documents_match_the_oracle(self, fmt, rows):
+        table = replace(sample_table(), columns=FOUR_FLOATS, rows=tuple(rows))
+        expected = SEED_RENDER[fmt](table)
+        assert write_table(table, None, fmt) == expected
+        lines = tuple(render_row(row, fmt) for row in rows)
+        assert write_table(replace(table, rows=lines), None, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_holds_the_returned_text(self, tmp_path, fmt):
+        path = tmp_path / f"t.{fmt}"
+        text = write_table(sample_table(), str(path), fmt)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert text == SEED_RENDER[fmt](sample_table())
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError):
+            render_row((0.5,), "parquet")
 
 
 class TestJson:
@@ -206,3 +292,62 @@ def test_column_lookup_helpers():
     assert t.column("pump_g") == [4.4e12, 6e12, 8e12]
     with pytest.raises(KeyError):
         t.column_index("missing")
+
+
+# grid runs whose tables hold failure rows: NaN cells and, for steady-sweep,
+# a ``converged`` of False; the failing trajectory point leaves no rows
+ORACLE_RUNS = {
+    "trajectory": ({
+        "model": {"gain": {"gamma21": 0.0, "gamma_ph": 0.0}, "drive": {"omega_a_rabi": 0.0}},
+        "sweep": [{"path": "gain.pump_g", "values": [0.0, 8e12, 4e12]}],
+        "trajectory": {"t_end": 1e-14, "store_every": 10},
+    }, 2),
+    "steady-sweep": ({
+        "sweep": [{"path": "plasmon.n_p", "values": [0.5, 6e4]},
+                  {"path": "gain.pump_g", "values": [4.4e12, 8e12]}],
+    }, 2),
+    "threshold": ({"sweep": [{"path": "plasmon.n_p", "values": [0.5, 6e4]}]}, 2),
+    "stability": ({
+        "sweep": [{"path": "plasmon.n_p", "values": [0.5, 6e4]},
+                  {"path": "gain.pump_g", "values": [-1.0, 8e12]}],
+    }, 2),
+}
+
+
+class TestCliTablesMatchTheOracle:
+    """Each grid command renders its rows in the workers that computed
+    them.  Its output, to a file or to stdout, at one worker or two, is
+    what the oracle makes of the same rows, timestamp aside."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(ORACLE_RUNS))
+    def test_output_is_the_oracle_of_the_same_rows(
+        self, tmp_path, monkeypatch, capsys, command, fmt
+    ):
+        data, exit_code = ORACLE_RUNS[command]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        argv = [command, "--config", str(cfg), "--format", fmt]
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.{fmt}"
+            assert cli.entry_point([*argv, "--workers", workers, "--out", str(out)]) == exit_code
+            texts.append(out.read_text())
+            assert cli.entry_point([*argv, "--workers", workers]) == exit_code
+            texts.append(capsys.readouterr().out)
+
+        # the same run with its cells left as they are, for the oracle
+        tables_seen = []
+        monkeypatch.setattr(cli, "render_row", lambda cells, fmt: tuple(cells))
+        monkeypatch.setattr(
+            cli, "write_table", lambda table, path, fmt: tables_seen.append(table) or ""
+        )
+        assert cli.entry_point([*argv, "--workers", "1"]) == exit_code
+        (table,) = tables_seen
+        cells = [cell for row in table.rows for cell in row]
+        assert (command != "trajectory") == any(
+            isinstance(c, float) and math.isnan(c) for c in cells
+        )
+        assert (command == "steady-sweep") == any(c is False for c in cells)
+        expected = strip_timestamp(SEED_RENDER[fmt](table))
+        assert [strip_timestamp(text) for text in texts] == [expected] * 4
