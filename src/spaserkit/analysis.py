@@ -643,17 +643,19 @@ def _scaled_residual_norm(x: np.ndarray, params: ModelParams, op) -> float:
 
 
 def _gain_balance_block(params: ModelParams, nu0: float):
-    """(k, m, nr, dm) for :func:`_gain_balance`: the density-matrix block of
-    the reduced operator at nu0, with dm = gamma_n d m / d nu."""
+    """(k, m, nr, dm, nd) for :func:`_gain_balance`: the density-matrix
+    block of the reduced operator at nu0, with dm = gamma_n d m / d nu and
+    nd = (nr, dm) stacked for the two Jacobian right-hand sides."""
     k, m, nr, _ = _reduced_operator(_coeffs(params, nu0))
     dm = params.plasmon.gamma_n * _REDUCED_OPERATOR_DNU[:8, :8]
-    return k[:8], m[:8, :8], nr[:8, :8], dm
+    nr = nr[:8, :8]
+    return k[:8], m[:8, :8], nr, dm, np.stack((nr, dm))
 
 
 def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shift: float):
     """Gain mismatch at field amplitude A and frame nu0 + gamma_n * shift.
 
-    ``block`` = (k, m, nr, dm) comes from :func:`_gain_balance_block`.
+    ``block`` = (k, m, nr, dm, nd) comes from :func:`_gain_balance_block`.
     At (A, shift) the chromophore solves M rho = -k with
     M = m + A nr + shift dm, which is exact because nu enters the
     operator linearly.
@@ -664,28 +666,26 @@ def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shif
     dividing by the (gauge-even) amplitude removes that root family and
     leaves the spasing branch as a simple root.
 
-    Returns (f, rho, jacobian): the mismatch, the 8 density-matrix
-    coordinates and a function giving the exact Jacobian
+    Returns (f, rho, jacobian): the mismatch as a pair of floats, the 8
+    density-matrix coordinates and a function giving the exact Jacobian
     ((df0/dA, df0/dshift), (df1/dA, df1/dshift)) at the same point, from
     d rho / dA = -M^-1 nr rho and d rho / dshift = -M^-1 dm rho.  That
     costs one more block solve, so callers ask for it only where needed.
     """
-    k, m, nr, dm = block
+    k, m, nr, dm, nd = block
     mat = m + amplitude * nr + shift * dm
     rho = np.linalg.solve(mat, -k)
     coupling = params.plasmon.n_p * params.plasmon.omega_b_single
     gamma_n = params.plasmon.gamma_n
     delta_n = params.plasmon.omega_n - (nu0 + gamma_n * shift)
     r21, i21 = float(rho[2]), float(rho[3])
-    f = np.array(
-        [
-            (-gamma_n - coupling * i21 / amplitude) / gamma_n,
-            (-delta_n + coupling * r21 / amplitude) / gamma_n,
-        ]
+    f = (
+        (-gamma_n - coupling * i21 / amplitude) / gamma_n,
+        (-delta_n + coupling * r21 / amplitude) / gamma_n,
     )
 
     def jacobian() -> tuple[tuple[float, float], tuple[float, float]]:
-        drho = np.linalg.solve(mat, -np.column_stack((nr @ rho, dm @ rho))).tolist()
+        drho = np.linalg.solve(mat, -(nd @ rho).T).tolist()
         kappa = coupling / (gamma_n * amplitude)
         # delta_n falls by gamma_n per unit shift: the 1.0 in df1/dshift
         return (
@@ -726,7 +726,7 @@ def _spasing_newton(
         f, rho, jacobian = _gain_balance(params, block, nu0, amp, u)
     except np.linalg.LinAlgError:
         return None
-    fn = float(np.max(np.abs(f)))
+    fn = max(abs(f[0]), abs(f[1]))
     for _ in range(80):
         if fn <= tol:
             return amp, nu0 + gamma_n * u, rho
@@ -746,7 +746,7 @@ def _spasing_newton(
             except np.linalg.LinAlgError:
                 lam *= 0.5
                 continue
-            fn_new = float(np.max(np.abs(trial[0])))
+            fn_new = max(abs(trial[0][0]), abs(trial[0][1]))
             if fn_new < fn * (1.0 - 1e-4 * lam) or fn_new <= tol:
                 amp, u, fn = amp_new, u_new, fn_new
                 f, rho, jacobian = trial
@@ -809,7 +809,9 @@ def _bookkeeping_check(result: SteadyStateResult) -> SteadyStateResult:
 def _seed_amplitudes(candidates: list[float]):
     """Newton seeds sqrt(n f), f = 1, 0.1, 10, for each finite positive
     plasmon-number estimate n in order, skipping any within 0.1% of an
-    earlier seed.  Lazy: most solves converge from the first seed."""
+    earlier seed.  Lazy: most solves converge from the first seed, so the
+    order of ``candidates`` sets the cost (see :func:`steady_state_numeric`
+    for the order by regime)."""
     seeds: list[float] = []
     for n_est in candidates:
         if math.isfinite(n_est) and n_est > 0.0:
@@ -831,6 +833,12 @@ def steady_state_numeric(
     algebraic fixed-point system — the chromophore block is eliminated
     by an exact linear solve, leaving the field amplitude and the
     self-consistent frame frequency as unknowns — from a ladder of seeds.
+    Above gamma21 (pump g > gamma21) the ladder is the strong- and
+    weak-drive saturation limits, the growth-rate estimate
+    n_p gamma_s / (4 gamma_n), then the fixed numbers 1, 100, 1e-2, 1e-4.
+    At or below gamma21 the weak-field state is not inverted and the
+    growth-rate estimate overshoots the root by orders of magnitude, so
+    the fixed numbers come first and the estimate last.
     When Newton fails from every seed, ``branch_hint="spasing"`` below
     onset reports the zero branch; otherwise :class:`ConvergenceError`
     is raised.
@@ -850,18 +858,20 @@ def steady_state_numeric(
     except _NO_SPASING_FREQUENCY:
         nu0 = gain.omega21
 
-    # seed ladder for the plasmon number
-    candidates: list[float] = []
+    # seed ladder for the plasmon number (_seed_amplitudes skips an
+    # estimate that is not positive); near threshold the branch rises
+    # continuously from zero, so the fixed point can sit at a tiny number
+    growth = plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n)
+    ladder = [1.0, 100.0, 1e-2, 1e-4]
     if gain.pump_g > gain.gamma21:
         # the strong- and weak-drive saturation limits, without their
-        # regime warnings
-        candidates.append(_strong_drive_number(params))
-        candidates.append(_weak_drive_number(params))
-    if stab.gamma_s > 0.0:
-        candidates.append(plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n))
-    # near threshold the branch rises continuously from zero, so the
-    # fixed point can sit at a tiny plasmon number
-    candidates.extend([1.0, 100.0, 1e-2, 1e-4])
+        # regime warnings, then the growth-rate estimate
+        candidates = [_strong_drive_number(params), _weak_drive_number(params), growth]
+        candidates += ladder
+    else:
+        # not inverted: the growth-rate estimate overshoots the root by
+        # orders of magnitude, so it comes after the fixed ladder
+        candidates = ladder + [growth]
 
     newton_tol = 1e-12
     for amp0 in _seed_amplitudes(candidates):

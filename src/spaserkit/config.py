@@ -119,8 +119,12 @@ class RunConfig:
     calibrate: CalibrateOptions
 
     def resolved_workers(self) -> int:
+        """``options.workers``, else the CPUs this process may run on: its
+        affinity mask where the platform has one, else the host's count."""
         if self.options.workers is not None:
             return self.options.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

@@ -1,6 +1,7 @@
 """Run-configuration parsing: units, schema validation, presets, sweeps."""
 
 import json
+import os
 
 import pytest
 
@@ -149,6 +150,16 @@ class TestOptionsAndBrackets:
         auto = build_config({})
         assert auto.options.workers is None
         assert auto.resolved_workers() >= 1
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        auto = build_config({})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert auto.resolved_workers() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert auto.resolved_workers() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert auto.resolved_workers() == 1
 
     def test_threshold_bracket(self):
         cfg = build_config({"threshold": {"bracket": [1e10, 1e14]}})

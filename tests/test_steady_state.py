@@ -1,5 +1,6 @@
 """Self-consistent operating points of the coupled chromophore-field system."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -175,7 +176,7 @@ class TestNewtonDerivatives:
         """Central differences of the mismatch with the steps the solver
         used before it had exact derivatives."""
         def f(a, u):
-            return analysis._gain_balance(params, block, nu0, a, u)[0]
+            return np.array(analysis._gain_balance(params, block, nu0, a, u)[0])
 
         d_amp, d_u = 1e-6 * (1.0 + amp), 1e-6
         return np.column_stack((
@@ -218,38 +219,87 @@ class TestNewtonDerivatives:
         np.testing.assert_allclose(f0, f1, rtol=1e-9, atol=1e-12)
 
 
-def _preset_branch_counts(preset: str) -> dict[float, tuple[int, int, int]]:
-    """(spasing, stable spasing, zero) points per value of the preset's
-    second axis."""
-    config = build_config(PRESETS[preset])
-    (pump_axis, slice_axis) = config.axes
-    counts: dict[float, Counter] = {}
-    with warnings.catch_warnings():
+@pytest.fixture(scope="module")
+def preset_pass():
+    """One serial pass of the fig2 and fig3 grids, with the Newton work
+    counted: per preset, the results keyed by the second axis value, and
+    the (calls, failures, mismatch evaluations) of the whole pass."""
+    work = Counter()
+    newton, gain_balance = analysis._spasing_newton, analysis._gain_balance
+
+    def counted_newton(*args):
+        root = newton(*args)
+        work["calls"] += 1
+        work["failures"] += root is None
+        return root
+
+    def counted_gain_balance(*args):
+        work["evaluations"] += 1
+        return gain_balance(*args)
+
+    results: dict[str, dict[float, list]] = {}
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(analysis, "_spasing_newton", counted_newton)
+        mp.setattr(analysis, "_gain_balance", counted_gain_balance)
         warnings.simplefilter("ignore")
-        for value in slice_axis.values:
-            tally = counts.setdefault(value, Counter())
-            base = set_param(config.model, slice_axis.path, value)
-            for pump in pump_axis.values:
-                res = steady_state_numeric(set_param(base, pump_axis.path, pump))
-                tally[res.branch] += 1
-                tally["stable"] += res.branch == "spasing" and res.stable
-    return {v: (c["spasing"], c["stable"], c["zero"]) for v, c in counts.items()}
+        for preset in ("fig2", "fig3"):
+            config = build_config(PRESETS[preset])
+            (pump_axis, slice_axis) = config.axes
+            by_slice = results.setdefault(preset, {})
+            for value in slice_axis.values:
+                base = set_param(config.model, slice_axis.path, value)
+                by_slice[value] = [
+                    steady_state_numeric(set_param(base, pump_axis.path, pump))
+                    for pump in pump_axis.values
+                ]
+    return results, (work["calls"], work["failures"], work["evaluations"])
+
+
+def _branch_counts(by_slice) -> dict[float, tuple[int, int, int]]:
+    """(spasing, stable spasing, zero) points per value of the second axis."""
+    counts = {}
+    for value, results in by_slice.items():
+        spasing = [r for r in results if r.branch == "spasing"]
+        counts[value] = (len(spasing), sum(r.stable for r in spasing), len(results) - len(spasing))
+    return counts
 
 
 class TestPresetFixedPoints:
     """Newton lands on the same fixed points over the figure grids (the
-    counts the README quotes)."""
+    counts the README quotes), bit for bit and for the same Newton work."""
 
-    def test_fig2_branches_and_stability(self):
-        assert _preset_branch_counts("fig2") == {
+    def test_fig2_branches_and_stability(self, preset_pass):
+        assert _branch_counts(preset_pass[0]["fig2"]) == {
             0.0: (64, 0, 17), 4e12: (72, 13, 9), 16e12: (72, 72, 9),
         }
 
-    def test_fig3_branches_and_stability(self):
-        assert _preset_branch_counts("fig3") == {
+    def test_fig3_branches_and_stability(self, preset_pass):
+        assert _branch_counts(preset_pass[0]["fig3"]) == {
             0.0: (72, 72, 9), 80e12: (65, 18, 16),
             160e12: (64, 7, 17), 240e12: (64, 3, 17),
         }
+
+    def test_newton_work(self, preset_pass):
+        """(calls, failed calls, mismatch evaluations) of `_spasing_newton`
+        over the 567 points.  Below gamma21 the fixed seed ladder comes
+        before the growth-rate estimate, which overshoots the root there."""
+        assert preset_pass[1] == (495, 22, 4096)
+
+    def test_fixed_point_bits(self, preset_pass):
+        """sha256 over the rows' float.hex of (n_n, n21, n32, nu_s), branch
+        and stable, in grid order.  A changed seed, Newton path or block
+        solve moves these bits; so may a different LAPACK build."""
+        lines = [
+            " ".join(float(v).hex() for v in (r.n_n, r.n21, r.n32, r.nu_s))
+            + f" {r.branch} {int(r.stable)}"
+            for preset in ("fig2", "fig3")
+            for row in preset_pass[0][preset].values()
+            for r in row
+        ]
+        assert len(lines) == 567
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "f024ebdfaabf2d2884c69ca7c3d46b26b0fb16975e1f5bac4381bc11da69c2ca"
+        )
 
 
 class TestNewtonOnly:
