@@ -157,16 +157,33 @@ def _brentq(f, xa: float, xb: float, *, xtol: float = 2e-12,
     )
 
 
+def _first_root(f, grid, values, **brent_tol) -> float | None:
+    """The first root of ``f`` along a scan ``grid`` already sampled as
+    ``values``: in the first cell, in grid order, whose samples change
+    sign or include an exact zero.  An exact zero at a grid point is the
+    root itself; otherwise :func:`_brentq` refines the cell from the two
+    samples, which it does not evaluate again.  A ``None`` sample (f
+    undefined there) bounds no cell.  None when no cell qualifies.
+    """
+    for i in range(len(grid) - 1):
+        fa, fb = values[i], values[i + 1]
+        if fa is None or fb is None:
+            continue
+        if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
+            # _brentq returns an end whose sample is zero as it is
+            return _brentq(f, grid[i], grid[i + 1], fa=fa, fb=fb, **brent_tol)
+    return None
+
+
 # --- closed-form weak-field steady state -----------------------------------
 
 
 @dataclass(frozen=True)
 class ClosedFormInversions:
-    """Weak-field (a = 0) steady-state inversions and their common factor."""
+    """Weak-field (a = 0) steady-state inversions."""
 
     n21_bar: float
     n32_bar: float
-    m_factor: float
 
 
 def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
@@ -192,7 +209,7 @@ def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
     n21 = ((g * g32 - g21 * g31 - g21 * g32) * gamma32_tilde
            + 2.0 * (g - g21 - g31) * wa2) * m
     n32 = (g21 - g32) * g * gamma32_tilde * m
-    return ClosedFormInversions(n21_bar=n21, n32_bar=n32, m_factor=m)
+    return ClosedFormInversions(n21_bar=n21, n32_bar=n32)
 
 
 def _background_block(op) -> np.ndarray:
@@ -517,9 +534,12 @@ def threshold_find(
 ) -> ThresholdResult:
     """Pump rate at which the zero-field state first loses net stability.
 
-    Scans the bracket geometrically for the first sign change of the
-    onset-balance residual, then refines the root in that bracket by
-    Brent's method to a relative accuracy of 1e-12.  With
+    Samples the onset-balance residual on a geometric scan of the
+    bracket (10 points per decade) and returns its first root scanning
+    up in pump, refined by Brent's method to a relative accuracy of
+    1e-12 (:func:`_first_root`).  Raises :class:`NoThresholdError`,
+    carrying the residual at both bracket ends, when no scan cell
+    changes sign.  With
     ``cross_check`` the same root is re-derived from the linear growth
     rate and the two must agree within 1% (warning otherwise).
     """
@@ -532,25 +552,15 @@ def threshold_find(
     n_scan = max(2, int(round(10.0 * math.log10(hi / lo))) + 1)
     grid = [float(g) for g in np.geomspace(lo, hi, n_scan)]
     values = [_residual_at_g(params, g) for g in grid]
-    first = None
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0 or values[i] * values[i + 1] < 0.0:
-            first = i
-            break
-    if first is None:
+    g_th = _first_root(
+        lambda g: _residual_at_g(params, g), grid, values, xtol=0.0, rtol=1e-12
+    )
+    if g_th is None:
         raise NoThresholdError(
             "the onset-balance residual does not change sign over the pump "
             f"bracket [{lo:.3e}, {hi:.3e}] rad/s",
             residual_lo=values[0],
             residual_hi=values[-1],
-        )
-
-    if values[first] == 0.0:
-        g_th = grid[first]
-    else:
-        g_th = _brentq(
-            lambda g: _residual_at_g(params, g), grid[first], grid[first + 1],
-            xtol=0.0, rtol=1e-12, fa=values[first], fb=values[first + 1],
         )
 
     at_th = set_param(params, "gain.pump_g", g_th)
@@ -697,10 +707,15 @@ def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shif
 
 
 _AMP_FLOOR = 1e-8
+#: Newton stops once the gain mismatch is this small, in units of gamma_n.
+_NEWTON_TOL = 1e-12
+#: The block linear solves put a rounding floor on the achievable
+#: mismatch; an iterate that stalls this close to balance is a root.
+_STALL_TOL = 1e-9
 
 
 def _spasing_newton(
-    params: ModelParams, amp0: float, nu0: float, tol: float
+    params: ModelParams, amp0: float, nu0: float
 ) -> tuple[float, float, np.ndarray] | None:
     """Damped Newton on (amplitude, frame frequency); None on failure.
 
@@ -717,19 +732,14 @@ def _spasing_newton(
     amp = max(abs(float(amp0)), _AMP_FLOOR)
     u = 0.0
 
-    # The block linear solves put a rounding floor on the achievable
-    # residual; a stalled iterate this close to balance is a converged
-    # root, not a failure.
-    stall_tol = max(tol, 1e-9)
-
     try:
         f, rho, jacobian = _gain_balance(params, block, nu0, amp, u)
     except np.linalg.LinAlgError:
         return None
     fn = max(abs(f[0]), abs(f[1]))
     for _ in range(80):
-        if fn <= tol:
-            return amp, nu0 + gamma_n * u, rho
+        if fn <= _NEWTON_TOL:
+            break
         # the 2x2 Newton step J step = -f by Cramer's rule
         (j00, j01), (j10, j11) = jacobian()
         det = j00 * j11 - j01 * j10
@@ -747,16 +757,15 @@ def _spasing_newton(
                 lam *= 0.5
                 continue
             fn_new = max(abs(trial[0][0]), abs(trial[0][1]))
-            if fn_new < fn * (1.0 - 1e-4 * lam) or fn_new <= tol:
+            if fn_new < fn * (1.0 - 1e-4 * lam) or fn_new <= _NEWTON_TOL:
                 amp, u, fn = amp_new, u_new, fn_new
                 f, rho, jacobian = trial
                 break
             lam *= 0.5
         else:
-            if fn <= stall_tol:
-                return amp, nu0 + gamma_n * u, rho
-            return None
-    if fn <= stall_tol:
+            break  # the line search stalled
+    # converged, or stalled within the rounding floor of the block solves
+    if fn <= _STALL_TOL:
         return amp, nu0 + gamma_n * u, rho
     return None
 
@@ -769,41 +778,28 @@ def _spasing_stability(params: ModelParams, x: np.ndarray, op) -> bool:
     return not bool(np.any(eigvals.real > tol))
 
 
-def _zero_branch_result(params: ModelParams, stable: bool) -> SteadyStateResult:
-    # the background and its residual, from one operator in the frame of params
-    op = _reduced_operator(_coeffs(params))
-    x = np.append(_background_block(op), (0.0, 0.0))
-    bg = _unpack_reduced(x).rho
-    try:
-        nu_s = spasing_frequency(params)
-    except _NO_SPASING_FREQUENCY:
-        nu_s = math.nan
+def _steady_result(
+    params: ModelParams, x: np.ndarray, op, nu_s: float, stable: bool, branch: str
+) -> SteadyStateResult:
+    """The operating point at the 10 reduced coordinates ``x``, with its
+    residual under the reduced operator ``op`` built in the frame nu_s."""
+    state = _unpack_reduced(x)
+    rho, amp = state.rho, state.amplitude
     return SteadyStateResult(
-        n_n=0.0,
-        n21=bg.p2 - bg.p1,
-        n32=bg.p3 - bg.p2,
-        rho_ss=bg,
-        amplitude=0j,
+        # |a|^2 as a product: abs(a) ** 2 goes through libm pow, which
+        # misses the square's last bit for about one amplitude in 1,200
+        n_n=amp.real * amp.real + amp.imag * amp.imag,
+        n21=rho.p2 - rho.p1,
+        n32=rho.p3 - rho.p2,
+        rho_ss=rho,
+        amplitude=amp,
         nu_s=nu_s,
         residual_norm=_scaled_residual_norm(x, params, op),
         method="algebraic-root",
         converged=True,
         stable=stable,
-        branch="zero",
+        branch=branch,
     )
-
-
-def _bookkeeping_check(result: SteadyStateResult) -> SteadyStateResult:
-    rho = result.rho_ss
-    if result.n_n > 1e-9 and result.n21 < 0.0 and not (rho.p2 + rho.p3 > rho.p1):
-        warnings.warn(
-            "operating point spases without inversion yet its total excited "
-            f"population does not exceed the ground population (p1={rho.p1!r}, "
-            f"p2={rho.p2!r}, p3={rho.p3!r})",
-            BookkeepingWarning,
-            stacklevel=3,
-        )
-    return result
 
 
 def _seed_amplitudes(candidates: list[float]):
@@ -822,34 +818,37 @@ def _seed_amplitudes(candidates: list[float]):
                     yield amp
 
 
-def steady_state_numeric(
-    params: ModelParams, branch_hint: str | None = None
-) -> SteadyStateResult:
+def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
     """Self-consistent operating point of the coupled system.
 
-    Picks the spasing branch when the zero-field state is linearly
-    unstable (or on ``branch_hint="spasing"``), otherwise the zero
-    branch.  The spasing branch is found by damped Newton on the
-    algebraic fixed-point system — the chromophore block is eliminated
-    by an exact linear solve, leaving the field amplitude and the
-    self-consistent frame frequency as unknowns — from a ladder of seeds.
-    Above gamma21 (pump g > gamma21) the ladder is the strong- and
-    weak-drive saturation limits, the growth-rate estimate
+    Where the zero-field state is linearly stable (growth rate
+    gamma_s <= 0) the result is that state, the zero branch: the
+    weak-field background with ``n_n`` exactly 0, reported in the frame
+    of ``params`` with ``nu_s`` the spasing frequency (NaN where it is
+    undefined).  Above onset it is the spasing branch, found by damped
+    Newton on the algebraic fixed-point system — the chromophore block
+    is eliminated by an exact linear solve, leaving the field amplitude
+    and the self-consistent frame frequency as unknowns — from a ladder
+    of seeds.  Above gamma21 (pump g > gamma21) the ladder is the
+    strong- and weak-drive saturation limits, the growth-rate estimate
     n_p gamma_s / (4 gamma_n), then the fixed numbers 1, 100, 1e-2, 1e-4.
     At or below gamma21 the weak-field state is not inverted and the
     growth-rate estimate overshoots the root by orders of magnitude, so
-    the fixed numbers come first and the estimate last.
-    When Newton fails from every seed, ``branch_hint="spasing"`` below
-    onset reports the zero branch; otherwise :class:`ConvergenceError`
-    is raised.
+    the fixed numbers come first and the estimate last.  Raises
+    :class:`ConvergenceError` when Newton fails from every seed.  Warns
+    (:class:`BookkeepingWarning`) when a spasing point without inversion
+    has no more excited than ground population.
     """
-    if branch_hint not in (None, "zero", "spasing"):
-        raise ValueError(f"branch_hint must be None, 'zero' or 'spasing', got {branch_hint!r}")
     stab = growth_rate(params)
-    if branch_hint == "zero":
-        return _zero_branch_result(params, stable=stab.gamma_s <= 0.0)
-    if branch_hint is None and stab.gamma_s <= 0.0:
-        return _zero_branch_result(params, stable=True)
+    if stab.gamma_s <= 0.0:
+        # the background and its residual, from one operator in the frame of params
+        op = _reduced_operator(_coeffs(params))
+        x = np.append(_background_block(op), (0.0, 0.0))
+        try:
+            nu_s = spasing_frequency(params)
+        except _NO_SPASING_FREQUENCY:
+            nu_s = math.nan
+        return _steady_result(params, x, op, nu_s, True, "zero")
 
     gain = params.gain
     plasmon = params.plasmon
@@ -873,34 +872,26 @@ def steady_state_numeric(
         # orders of magnitude, so it comes after the fixed ladder
         candidates = ladder + [growth]
 
-    newton_tol = 1e-12
     for amp0 in _seed_amplitudes(candidates):
-        root = _spasing_newton(params, amp0, nu0, newton_tol)
+        root = _spasing_newton(params, amp0, nu0)
         if root is None:
             continue
         amp, nu_s, rho = root
         x = np.append(rho, (amp, 0.0))
-        state = _unpack_reduced(x)
-        rho = state.rho
         op = _reduced_operator(_coeffs(params, nu_s))
-        result = SteadyStateResult(
-            n_n=amp * amp,
-            n21=rho.p2 - rho.p1,
-            n32=rho.p3 - rho.p2,
-            rho_ss=rho,
-            amplitude=state.amplitude,
-            nu_s=nu_s,
-            residual_norm=_scaled_residual_norm(x, params, op),
-            method="algebraic-root",
-            converged=True,
-            stable=_spasing_stability(params, x, op),
-            branch="spasing",
+        result = _steady_result(
+            params, x, op, nu_s, _spasing_stability(params, x, op), "spasing"
         )
-        return _bookkeeping_check(result)
-
-    if branch_hint == "spasing" and stab.gamma_s <= 0.0:
-        # no spasing fixed point below onset; report the zero branch
-        return _zero_branch_result(params, stable=True)
+        rho = result.rho_ss
+        if result.n_n > 1e-9 and result.n21 < 0.0 and not (rho.p2 + rho.p3 > rho.p1):
+            warnings.warn(
+                "operating point spases without inversion yet its total excited "
+                f"population does not exceed the ground population (p1={rho.p1!r}, "
+                f"p2={rho.p2!r}, p3={rho.p3!r})",
+                BookkeepingWarning,
+                stacklevel=2,
+            )
+        return result
 
     raise ConvergenceError(
         "Newton iteration on the fixed-point system failed from every seed"
@@ -1016,10 +1007,12 @@ def calibrate_coupling(
     g_th(drive off) / g_th(drive = omega_a_on) equals the target within
     1%, from the ratio sampled at 13 log-spaced couplings across the
     bracket.  When the sampled ratio curve crosses the target inside the
-    bracket the exact crossing is returned; when it only approaches the
-    target asymptotically (the threshold ratio saturates at strong
-    coupling), the smallest coupling whose ratio sits within half the
-    tolerance (0.5%) of the target is returned instead.  Raises
+    bracket, the first crossing scanning up in coupling is returned,
+    refined by Brent's method (:func:`_first_root`; a coupling with no
+    threshold bounds no cell).  When it only approaches the target
+    asymptotically (the threshold ratio saturates at strong coupling),
+    the smallest coupling whose ratio sits within half the tolerance
+    (0.5%) of the target is returned instead.  Raises
     :class:`CalibrationError` carrying the sampled (coupling, ratio)
     curve when neither exists inside the bracket.
     """
@@ -1046,28 +1039,16 @@ def calibrate_coupling(
             return None
         return g_off / g_on
 
-    curve: list[tuple[float, float]] = []
-    grid = np.geomspace(lo, hi, 13)
-    samples = []
-    for coupling in grid:
-        r = ratio(float(coupling))
-        samples.append(r)
-        curve.append((float(coupling), math.nan if r is None else r))
+    grid = [float(w) for w in np.geomspace(lo, hi, 13)]
+    samples = [ratio(w) for w in grid]
+    curve = [(w, math.nan if r is None else r) for w, r in zip(grid, samples)]
 
-    def refine(goal: float, w_lo: float, w_hi: float) -> float:
-        return _brentq(lambda w: ratio(w) - goal, w_lo, w_hi, rtol=1e-8)
-
-    root = None
-    for i in range(len(grid) - 1):
-        r0, r1 = samples[i], samples[i + 1]
-        if r0 is None or r1 is None:
-            continue
-        if r0 == target_ratio:
-            root = float(grid[i])
-            break
-        if (r0 - target_ratio) * (r1 - target_ratio) < 0.0:
-            root = refine(target_ratio, grid[i], grid[i + 1])
-            break
+    root = _first_root(
+        lambda w: ratio(w) - target_ratio,
+        grid,
+        [None if r is None else r - target_ratio for r in samples],
+        rtol=1e-8,
+    )
     if root is None:
         # no exact crossing: take the band entry point, i.e. the smallest
         # coupling whose ratio is within half the tolerance of the target
@@ -1076,11 +1057,14 @@ def calibrate_coupling(
             if r is None or abs(r - target_ratio) > half_band:
                 continue
             prev = samples[i - 1] if i > 0 else None
-            if i == 0 or prev is None:
-                root = float(grid[i])
+            if prev is None:
+                root = grid[i]
             else:
                 goal = target_ratio + math.copysign(half_band, prev - target_ratio)
-                root = refine(goal, grid[i - 1], grid[i])
+                root = _brentq(
+                    lambda w: ratio(w) - goal, grid[i - 1], grid[i],
+                    rtol=1e-8, fa=prev - goal, fb=r - goal,
+                )
             break
     if root is None:
         raise CalibrationError(

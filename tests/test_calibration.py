@@ -2,10 +2,13 @@
 benchmark: a drive of 16e12 rad/s should cut the spasing threshold in two."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from helpers import OMEGA_B_CALIBRATED, make_params
+from spaserkit import analysis
 from spaserkit.analysis import calibrate_coupling, threshold_find
 from spaserkit.errors import CalibrationError
 from spaserkit.params import default_params, set_param
@@ -15,6 +18,24 @@ def test_default_calibration_regression(defaults):
     wt = calibrate_coupling(defaults)
     assert wt == pytest.approx(OMEGA_B_CALIBRATED, rel=1e-6)
     assert 1e12 <= wt <= 1e14
+
+
+def test_calibration_work(defaults, monkeypatch):
+    """``threshold_find`` calls at the defaults: two per coupling (drive
+    off and on), for the 13 scan samples, the Brent iterates of the
+    band-entry refinement and the final check of the achieved ratio.  The
+    refinement's bracket ends are scan samples and are not evaluated
+    again."""
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls[args[0].plasmon.omega_b_single] += 1
+        return threshold_find(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "threshold_find", counted)
+    assert calibrate_coupling(defaults) == pytest.approx(OMEGA_B_CALIBRATED, rel=1e-6)
+    assert sum(calls.values()) == 40
+    assert all(calls[float(w)] == 2 for w in np.geomspace(1e12, 1e14, 13))
 
 
 def test_calibrated_coupling_achieves_the_target_ratio(defaults):

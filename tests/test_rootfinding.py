@@ -10,7 +10,7 @@ import pytest
 
 from helpers import OMEGA_21, OMEGA_N
 import spaserkit
-from spaserkit.analysis import _brentq, spasing_condition_residual
+from spaserkit.analysis import _brentq, _first_root, spasing_condition_residual
 from spaserkit.errors import ConvergenceError
 from spaserkit.params import default_params
 
@@ -93,6 +93,66 @@ def test_iteration_budget_raises():
     zero, where the relative stopping width vanishes."""
     with pytest.raises(ConvergenceError):
         _brentq(lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 1.0, xtol=0.0)
+
+
+class TestFirstRoot:
+    """The scan-root rule of ``threshold_find`` and ``calibrate_coupling``:
+    the first cell, in grid order, whose samples change sign or hold an
+    exact zero."""
+
+    GRID = [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @staticmethod
+    def two_roots(x):
+        """Roots at 0.5 and 3.5; positive at 0 and 4, negative between."""
+        return (x - 0.5) * (x - 3.5)
+
+    def test_the_first_of_two_sign_changes_wins(self):
+        values = [self.two_roots(x) for x in self.GRID]
+        root, xs = _iterates(_first_root, self.two_roots, self.GRID, values)
+        assert root == pytest.approx(0.5, abs=1e-11)
+        # the samples are not evaluated again
+        assert not set(xs) & set(self.GRID)
+        assert all(0.0 < x < 1.0 for x in xs)
+
+    def test_refinement_is_brent_on_the_cell_from_its_samples(self):
+        values = [self.two_roots(x) for x in self.GRID]
+        assert _first_root(self.two_roots, self.GRID, values, rtol=1e-8) == _brentq(
+            self.two_roots, 0.0, 1.0, rtol=1e-8
+        )
+
+    @pytest.mark.parametrize("at", range(5))
+    def test_an_exact_zero_sample_is_the_root(self, at):
+        """Also where the samples touch zero without changing sign, and at
+        either end of the grid; ``f`` is never called."""
+        values = [float(abs(i - at)) for i in range(5)]
+
+        def never(x):
+            raise AssertionError(f"f evaluated at {x}")
+
+        assert _first_root(never, self.GRID, values) == self.GRID[at]
+
+    def test_an_earlier_zero_beats_a_later_sign_change(self):
+        values = [1.0, 0.0, 1.0, -1.0, -1.0]
+        assert _first_root(lambda x: 2.5 - x, self.GRID, values) == 1.0
+
+    def test_a_missing_sample_bounds_no_cell(self):
+        """f undefined at x = 1: the cells on either side of it are skipped,
+        though the samples around it change sign."""
+        values = [self.two_roots(x) for x in self.GRID]
+        values[1] = None
+        assert _first_root(self.two_roots, self.GRID, values) == pytest.approx(
+            3.5, abs=1e-11
+        )
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0, 0.5, 3.0, 1.0],
+        [-1.0, -2.0, -0.5, -3.0, -1.0],
+        [1.0, None, -1.0, None, 1.0],
+        [None] * 5,
+    ])
+    def test_no_sign_change_gives_none(self, values):
+        assert _first_root(self.two_roots, self.GRID, values) is None
 
 
 def test_cli_import_leaves_scipy_out():

@@ -20,7 +20,7 @@ from spaserkit.analysis import (
 from spaserkit.cli import entry_point
 from spaserkit.config import PRESETS, build_config
 from spaserkit.dynamics import integrate
-from spaserkit.errors import ConvergenceError
+from spaserkit.errors import BookkeepingWarning, ConvergenceError
 from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState
 from spaserkit.tables import read_csv
@@ -41,19 +41,6 @@ class TestZeroBranch:
         np.testing.assert_allclose(
             res.rho_ss.matrix(), bg.matrix(), rtol=1e-12, atol=1e-15
         )
-
-    def test_forced_zero_branch_above_threshold_is_flagged_unstable(self):
-        res = steady_state_numeric(default_params(pump_g=8e12), branch_hint="zero")
-        assert res.branch == "zero"
-        assert res.n_n == 0.0
-        assert not res.stable
-
-    def test_spasing_hint_below_threshold_falls_back_to_zero(self):
-        res = steady_state_numeric(
-            default_params(pump_g=1e12), branch_hint="spasing"
-        )
-        assert res.branch == "zero"
-        assert res.n_n == 0.0
 
     def test_unpumped_undriven_system_rests_in_the_ground_state(self):
         res = steady_state_numeric(make_params(pump_g=0.0))
@@ -160,14 +147,41 @@ class TestSpasingBranch:
         ).n_n
         assert 0.0 < n_lo < n_hi
 
-    def test_invalid_branch_hint_rejected(self, defaults):
-        with pytest.raises(ValueError):
-            steady_state_numeric(defaults, branch_hint="both")
-
     def test_reported_state_is_a_valid_density_matrix(self):
         res = steady_state_numeric(default_params(pump_g=2e13, omega_a_rabi=16e12))
         res.rho_ss.validate()
         assert isinstance(res.rho_ss, DensityMatrix3)
+
+
+class TestBookkeepingWarning:
+    """A spasing root without inversion whose excited population does not
+    exceed the ground population is flagged.  No preset point has one, so
+    ``_spasing_newton`` is stubbed to return it: p1 = 0.6, p2 = 0.3,
+    p3 = 0.1, i.e. n21 < 0 and p2 + p3 <= p1."""
+
+    @staticmethod
+    def solve_with_root(monkeypatch, amp):
+        p = default_params(pump_g=8e12)
+        rho = np.array([0.6, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        nu = spasing_frequency(p)
+        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: (amp, nu, rho))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = steady_state_numeric(p)
+        assert res.branch == "spasing" and res.n21 < 0.0
+        return res, [w for w in caught if issubclass(w.category, BookkeepingWarning)]
+
+    def test_fires_once_in_the_callers_file(self, monkeypatch):
+        res, flagged = self.solve_with_root(monkeypatch, 2.0)
+        assert res.n_n == 4.0
+        (w,) = flagged
+        assert w.filename == __file__
+        assert "p1=0.6" in str(w.message)
+
+    def test_silent_without_a_field(self, monkeypatch):
+        res, flagged = self.solve_with_root(monkeypatch, 1e-5)
+        assert res.n_n <= 1e-9
+        assert flagged == []
 
 
 class TestNewtonDerivatives:
