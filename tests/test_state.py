@@ -73,6 +73,19 @@ class TestSpaserState:
         s = SpaserState(rho=DensityMatrix3.ground(), amplitude=3 - 4j)
         assert s.n_n == 25.0
 
+    def test_plasmon_number_is_the_product_bit_for_bit(self):
+        """|a|^2 is Re a * Re a + Im a * Im a, not abs(a) ** 2, which goes
+        through libm pow and can miss the last bit."""
+        rng = np.random.default_rng(0)
+        for re in rng.uniform(0.0, 10.0, 100_000):
+            if abs(complex(re, 0.0)) ** 2 != re * re:
+                break
+        else:
+            pytest.fail("no amplitude squares differently through abs(a) ** 2")
+        for a in (complex(re, 0.0), complex(0.0, re), complex(re, 0.5)):
+            s = SpaserState(rho=DensityMatrix3.ground(), amplitude=a)
+            assert s.n_n.hex() == (a.real * a.real + a.imag * a.imag).hex()
+
     @settings(max_examples=50, deadline=None)
     @given(theta=st.floats(min_value=-10.0, max_value=10.0), re=finite, im=finite)
     def test_gauge_rotation_preserves_observables(self, theta, re, im):

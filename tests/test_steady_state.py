@@ -22,7 +22,7 @@ from spaserkit.config import PRESETS, build_config
 from spaserkit.dynamics import integrate
 from spaserkit.errors import BookkeepingWarning, ConvergenceError
 from spaserkit.params import default_params, set_param
-from spaserkit.state import DensityMatrix3, SpaserState
+from spaserkit.state import DensityMatrix3, SpaserState, observables
 from spaserkit.tables import read_csv
 
 
@@ -32,7 +32,7 @@ class TestZeroBranch:
         assert res.branch == "zero"
         assert res.n_n == 0.0
         assert res.amplitude == 0j
-        assert res.stable and res.converged
+        assert res.stable
 
     def test_zero_branch_matches_the_closed_form_background(self):
         p = default_params(pump_g=1e12, omega_a_rabi=4e12)
@@ -59,8 +59,20 @@ class TestSpasingBranch:
         }
         for wa, n_ref in expected.items():
             res = steady_state_numeric(default_params(pump_g=2e13, omega_a_rabi=wa))
-            assert res.branch == "spasing" and res.converged
+            assert res.branch == "spasing"
             assert res.n_n == pytest.approx(n_ref, rel=1e-6), f"wa={wa:g}"
+
+    def test_plasmon_number_is_the_state_observable_bit_for_bit(self):
+        """The operating point's n_n is the N_n observable of its own state,
+        also at an amplitude whose abs(a) ** 2 misses the square's last bit."""
+        for g in np.linspace(5e12, 2e13, 400):
+            res = steady_state_numeric(default_params(pump_g=float(g), omega_a_rabi=16e12))
+            if abs(res.amplitude) ** 2 != res.n_n:
+                break
+        else:
+            pytest.fail("no operating point squares differently through abs(a) ** 2")
+        state = SpaserState(res.rho_ss, res.amplitude)
+        assert observables(state)["N_n"] == res.n_n
 
     def test_gauge_amplitude_real_nonnegative(self):
         res = steady_state_numeric(default_params(pump_g=8e12, omega_a_rabi=16e12))

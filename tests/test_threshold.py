@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import OMEGA_21, make_params
+from spaserkit import analysis
 from spaserkit.analysis import (
     growth_rate,
     reduced_jacobian,
@@ -88,6 +89,35 @@ class TestThresholdFind:
         spontaneous rate of the lasing transition to within 15%."""
         res = threshold_find(defaults)
         assert res.g_th == pytest.approx(defaults.gain.gamma21, rel=0.15)
+
+    @pytest.mark.parametrize("drive", [0.0, 16e12])
+    def test_evaluates_each_pump_once(self, monkeypatch, drive):
+        """One ``spasing_frequency`` and one residual per distinct pump
+        evaluated, and ``nu_s`` and ``residual`` at the root are that
+        evaluation's, the same bits a fresh evaluation gives."""
+        pumps = []
+        calls = {"residual": 0}
+
+        def frequency(params):
+            pumps.append(params.gain.pump_g)
+            return spasing_frequency(params)
+
+        def residual(params, nu_s):
+            calls["residual"] += 1
+            return spasing_condition_residual(params, nu_s)
+
+        monkeypatch.setattr(analysis, "spasing_frequency", frequency)
+        monkeypatch.setattr(analysis, "spasing_condition_residual", residual)
+        params = default_params(omega_a_rabi=drive)
+        res = threshold_find(params)
+        assert len(pumps) == len(set(pumps)) == calls["residual"]
+        assert res.g_th in pumps
+
+        at_th = set_param(params, "gain.pump_g", res.g_th)
+        nu_s = spasing_frequency(at_th)
+        assert (res.nu_s, res.residual) == (
+            nu_s, spasing_condition_residual(at_th, nu_s).real
+        )
 
     def test_residual_vanishes_at_the_root(self, defaults):
         res = threshold_find(defaults)
