@@ -44,7 +44,7 @@ from .errors import (
     RegimeWarning,
 )
 from .params import ComplexRates, ModelParams, complex_rates, set_param
-from .state import DensityMatrix3
+from .state import DensityMatrix3, SpaserState
 
 __all__ = [
     "CalibrationResult",
@@ -463,15 +463,19 @@ def reduced_jacobian(x, params: ModelParams, nu: float | None = None) -> np.ndar
 class StabilityResult:
     """Spectrum of the linearization at the zero-field steady state.
 
-    ``gamma_s`` is the largest eigenvalue real part over modes carrying
-    plasmon-amplitude weight: the exponential growth (or decay) rate of
-    the plasmon field.  ``leading`` is the corresponding eigenvalue.
+    ``leading`` is the eigenvalue of largest real part over modes
+    carrying plasmon-amplitude weight; its real part, the property
+    ``gamma_s``, is the exponential growth (or decay) rate of the field.
     """
 
     eigenvalues: np.ndarray
-    gamma_s: float
     gamma_s_over_gamma_n: float
     leading: complex
+
+    @property
+    def gamma_s(self) -> float:
+        """Growth rate of the plasmon field: the real part of ``leading``."""
+        return self.leading.real
 
 
 def growth_rate(params: ModelParams) -> StabilityResult:
@@ -488,14 +492,12 @@ def growth_rate(params: ModelParams) -> StabilityResult:
     if not mask.any():
         raise ConvergenceError("no eigenmode carries plasmon-amplitude weight")
     masked = np.where(mask, eigvals.real, -np.inf)
-    lead_idx = int(np.argmax(masked))
-    gamma_s = float(eigvals[lead_idx].real)
+    leading = complex(eigvals[int(np.argmax(masked))])
     order = np.argsort(-eigvals.real)
     return StabilityResult(
         eigenvalues=eigvals[order],
-        gamma_s=gamma_s,
-        gamma_s_over_gamma_n=gamma_s / params.plasmon.gamma_n,
-        leading=complex(eigvals[lead_idx]),
+        gamma_s_over_gamma_n=leading.real / params.plasmon.gamma_n,
+        leading=leading,
     )
 
 
@@ -508,14 +510,21 @@ class ThresholdResult:
 
     ``g_th`` is the root of the onset-balance residual at the
     self-consistent frequency; ``g_th_growth`` from the sign change of
-    the linear growth rate (None when the cross-check is skipped).
+    the linear growth rate (None when the cross-check is skipped or
+    finds no root); the property ``relative_gap`` compares the two.
     """
 
     g_th: float
     nu_s: float
     residual: float
     g_th_growth: float | None
-    relative_gap: float | None
+
+    @property
+    def relative_gap(self) -> float | None:
+        """abs(g_th - g_th_growth) / g_th, or None without a growth root."""
+        if self.g_th_growth is None:
+            return None
+        return abs(self.g_th - self.g_th_growth) / self.g_th
 
 
 def _growth_at_g(params: ModelParams, g: float) -> float:
@@ -571,7 +580,6 @@ def threshold_find(
     nu_s, residual = evaluated[g_th]
 
     g_growth: float | None = None
-    gap: float | None = None
     if cross_check:
         width = 0.02 * g_th
         glo, ghi = max(lo, g_th - width), min(hi, g_th + width)
@@ -583,15 +591,6 @@ def threshold_find(
             g_growth = _brentq(
                 lambda g: _growth_at_g(params, g), glo, ghi, rtol=8.9e-16, fa=flo, fb=fhi
             )
-            gap = abs(g_th - g_growth) / g_th
-            if gap > 0.01:
-                warnings.warn(
-                    f"threshold estimators disagree by {gap:.2%}: residual "
-                    f"root gives {g_th:.6e}, growth-rate root gives "
-                    f"{g_growth:.6e} rad/s",
-                    CrossCheckWarning,
-                    stacklevel=2,
-                )
         else:
             warnings.warn(
                 "growth rate does not change sign near the residual threshold; "
@@ -599,13 +598,17 @@ def threshold_find(
                 CrossCheckWarning,
                 stacklevel=2,
             )
-    return ThresholdResult(
-        g_th=g_th,
-        nu_s=nu_s,
-        residual=residual,
-        g_th_growth=g_growth,
-        relative_gap=gap,
-    )
+    result = ThresholdResult(g_th=g_th, nu_s=nu_s, residual=residual, g_th_growth=g_growth)
+    gap = result.relative_gap
+    if gap is not None and gap > 0.01:
+        warnings.warn(
+            f"threshold estimators disagree by {gap:.2%}: residual "
+            f"root gives {g_th:.6e}, growth-rate root gives "
+            f"{g_growth:.6e} rad/s",
+            CrossCheckWarning,
+            stacklevel=2,
+        )
+    return result
 
 
 # --- numeric steady state ----------------------------------------------------
@@ -619,11 +622,9 @@ class SteadyStateResult:
     The density matrix and amplitude are reported in the frame rotating
     at ``nu_s`` with the gauge fixed to a real nonnegative amplitude.
     ``branch`` is "zero" for the non-spasing state (``n_n`` exactly 0).
+    ``n_n``, ``n21`` and ``n32`` are properties of ``amplitude`` and ``rho_ss``.
     """
 
-    n_n: float
-    n21: float
-    n32: float
     rho_ss: DensityMatrix3
     amplitude: complex
     nu_s: float
@@ -631,6 +632,21 @@ class SteadyStateResult:
     method: str
     stable: bool
     branch: str
+
+    @property
+    def n_n(self) -> float:
+        """Plasmon number |amplitude|^2, the N_n observable of the state."""
+        return SpaserState(self.rho_ss, self.amplitude).n_n
+
+    @property
+    def n21(self) -> float:
+        """Inversion of the spasing transition, p2 - p1."""
+        return self.rho_ss.p2 - self.rho_ss.p1
+
+    @property
+    def n32(self) -> float:
+        """Inversion of the drive transition, p3 - p2."""
+        return self.rho_ss.p3 - self.rho_ss.p2
 
 
 def _rate_scale(params: ModelParams) -> float:
@@ -645,14 +661,6 @@ def _rate_scale(params: ModelParams) -> float:
         abs(params.delta_n),
         1.0,
     )
-
-
-def _scaled_residual_norm(x: np.ndarray, params: ModelParams, op) -> float:
-    """Largest right-hand-side component at x, for the reduced operator
-    ``op``, relative to the fastest rate and the field amplitude."""
-    f = _operator_rhs(op, x)
-    amp = math.hypot(x[8], x[9])
-    return float(np.max(np.abs(f))) / (_rate_scale(params) * (1.0 + amp))
 
 
 def _gain_balance_block(params: ModelParams, nu0: float):
@@ -729,8 +737,13 @@ def _spasing_newton(
     more, with two right-hand sides, for the exact Jacobian
     (:func:`_gain_balance`).  Returns (A, nu, rho) with the 8
     density-matrix coordinates solved at the root.
+
+    A fixed point has 2 gamma_n N = n_p (g p1 - gamma21 p2 - gamma31 p3)
+    <= n_p g (the field term of dp1/dt), so an accepted iterate with A
+    above 10 sqrt(n_p g / (2 gamma_n)) ends the solve: None.
     """
     gamma_n = params.plasmon.gamma_n
+    ceiling = 10.0 * math.sqrt(params.plasmon.n_p * params.gain.pump_g / (2.0 * gamma_n))
     block = _gain_balance_block(params, nu0)
     amp = max(abs(float(amp0)), _AMP_FLOOR)
     u = 0.0
@@ -761,6 +774,8 @@ def _spasing_newton(
                 continue
             fn_new = max(abs(trial[0][0]), abs(trial[0][1]))
             if fn_new < fn * (1.0 - 1e-4 * lam) or fn_new <= _NEWTON_TOL:
+                if amp_new > ceiling:
+                    return None
                 amp, u, fn = amp_new, u_new, fn_new
                 f, rho, jacobian = trial
                 break
@@ -773,29 +788,21 @@ def _spasing_newton(
     return None
 
 
-def _spasing_stability(params: ModelParams, x: np.ndarray, op) -> bool:
-    eigvals = np.linalg.eigvals(_operator_jacobian(op, x))
-    # the gauge (global phase) mode sits at zero; anything clearly above
-    # it signals instability of the operating point
-    tol = 1e-6 * _rate_scale(params)
-    return not bool(np.any(eigvals.real > tol))
-
-
 def _steady_result(
     params: ModelParams, x: np.ndarray, op, nu_s: float, stable: bool, branch: str
 ) -> SteadyStateResult:
-    """The operating point at the 10 reduced coordinates ``x``, with its
-    residual under the reduced operator ``op`` built in the frame nu_s."""
+    """The operating point at the 10 reduced coordinates ``x``.  Its
+    residual is the largest right-hand-side component there, under the
+    reduced operator ``op`` built in the frame nu_s, relative to the
+    fastest rate and the field amplitude."""
     state = _unpack_reduced(x)
-    rho = state.rho
+    f = _operator_rhs(op, x)
+    amp = math.hypot(x[8], x[9])
     return SteadyStateResult(
-        n_n=state.n_n,
-        n21=rho.p2 - rho.p1,
-        n32=rho.p3 - rho.p2,
-        rho_ss=rho,
+        rho_ss=state.rho,
         amplitude=state.amplitude,
         nu_s=nu_s,
-        residual_norm=_scaled_residual_norm(x, params, op),
+        residual_norm=float(np.max(np.abs(f))) / (_rate_scale(params) * (1.0 + amp)),
         method="algebraic-root",
         stable=stable,
         branch=branch,
@@ -807,7 +814,7 @@ def _seed_amplitudes(candidates: list[float]):
     plasmon-number estimate n in order, skipping any within 0.1% of an
     earlier seed.  Lazy: most solves converge from the first seed, so the
     order of ``candidates`` sets the cost (see :func:`steady_state_numeric`
-    for the order by regime)."""
+    for the order)."""
     seeds: list[float] = []
     for n_est in candidates:
         if math.isfinite(n_est) and n_est > 0.0:
@@ -828,50 +835,36 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
     undefined).  Above onset it is the spasing branch, found by damped
     Newton on the algebraic fixed-point system — the chromophore block
     is eliminated by an exact linear solve, leaving the field amplitude
-    and the self-consistent frame frequency as unknowns — from a ladder
-    of seeds.  Above gamma21 (pump g > gamma21) the ladder is the
-    strong- and weak-drive saturation limits, the growth-rate estimate
-    n_p gamma_s / (4 gamma_n), then the fixed numbers 1, 100, 1e-2, 1e-4.
-    At or below gamma21 the weak-field state is not inverted and the
-    growth-rate estimate overshoots the root by orders of magnitude, so
-    the fixed numbers come first and the estimate last.  Raises
-    :class:`ConvergenceError` when Newton fails from every seed.  Warns
-    (:class:`BookkeepingWarning`) when a spasing point without inversion
-    has no more excited than ground population.
+    and the self-consistent frame frequency as unknowns — from the
+    spasing frequency (omega21 where it is undefined) and one order of
+    plasmon-number seeds: the strong- and weak-drive saturation limits,
+    the fixed numbers 1, 100, 1e-2, 1e-4, and last the growth-rate
+    estimate n_p gamma_s / (4 gamma_n).  At pump g <= gamma21 the limits
+    are not positive, so they give no seed, and the estimate overshoots
+    the root by orders of magnitude.  Raises :class:`ConvergenceError`
+    when Newton fails from every seed.  Warns (:class:`BookkeepingWarning`)
+    when a spasing point without inversion has no more excited than
+    ground population.
     """
     stab = growth_rate(params)
+    try:
+        nu_s = spasing_frequency(params)
+    except _NO_SPASING_FREQUENCY:
+        nu_s = math.nan
     if stab.gamma_s <= 0.0:
         # the background and its residual, from one operator in the frame of params
         op = _reduced_operator(_coeffs(params))
         x = np.append(_background_block(op), (0.0, 0.0))
-        try:
-            nu_s = spasing_frequency(params)
-        except _NO_SPASING_FREQUENCY:
-            nu_s = math.nan
         return _steady_result(params, x, op, nu_s, True, "zero")
 
-    gain = params.gain
     plasmon = params.plasmon
-    try:
-        nu0 = spasing_frequency(params)
-    except _NO_SPASING_FREQUENCY:
-        nu0 = gain.omega21
-
-    # seed ladder for the plasmon number (_seed_amplitudes skips an
-    # estimate that is not positive); near threshold the branch rises
-    # continuously from zero, so the fixed point can sit at a tiny number
-    growth = plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n)
-    ladder = [1.0, 100.0, 1e-2, 1e-4]
-    if gain.pump_g > gain.gamma21:
-        # the strong- and weak-drive saturation limits, without their
-        # regime warnings, then the growth-rate estimate
-        candidates = [_strong_drive_number(params), _weak_drive_number(params), growth]
-        candidates += ladder
-    else:
-        # not inverted: the growth-rate estimate overshoots the root by
-        # orders of magnitude, so it comes after the fixed ladder
-        candidates = ladder + [growth]
-
+    nu0 = params.gain.omega21 if math.isnan(nu_s) else nu_s
+    # near threshold the branch rises from zero, so the root can sit at
+    # a tiny number; _weak_drive_number divides by g + 2 gamma32, zero
+    # only at g = gamma32 = 0, where no gain lifts the point off the zero branch
+    candidates = [_strong_drive_number(params), _weak_drive_number(params),
+                  1.0, 100.0, 1e-2, 1e-4,
+                  plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n)]
     for amp0 in _seed_amplitudes(candidates):
         root = _spasing_newton(params, amp0, nu0)
         if root is None:
@@ -879,9 +872,11 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
         amp, nu_s, rho = root
         x = np.append(rho, (amp, 0.0))
         op = _reduced_operator(_coeffs(params, nu_s))
-        result = _steady_result(
-            params, x, op, nu_s, _spasing_stability(params, x, op), "spasing"
-        )
+        eigvals = np.linalg.eigvals(_operator_jacobian(op, x))
+        # the gauge (global phase) mode sits at zero; anything clearly above
+        # it signals instability of the operating point
+        stable = not bool(np.any(eigvals.real > 1e-6 * _rate_scale(params)))
+        result = _steady_result(params, x, op, nu_s, stable, "spasing")
         rho = result.rho_ss
         if result.n_n > 1e-9 and result.n21 < 0.0 and not (rho.p2 + rho.p3 > rho.p1):
             warnings.warn(

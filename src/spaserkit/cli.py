@@ -83,6 +83,8 @@ def _threshold(params: ModelParams, config: RunConfig) -> list:
 
 
 def _stability(params: ModelParams, config: RunConfig) -> list:
+    if config.frame_auto:
+        params = frame_at_spasing_frequency(params)
     res = growth_rate(params)
     return [(res.gamma_s, res.gamma_s_over_gamma_n, res.leading.real, res.leading.imag)]
 

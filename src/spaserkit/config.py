@@ -8,7 +8,9 @@ A config file is a JSON object with (all optional) sections:
     (rad/s) or ``{"value": x, "unit": "eV"|"rad/s"}``.
     ``frame.nu_ref`` additionally accepts the string ``"auto"``
     (default), meaning: rotate each grid point at its own
-    self-consistent spasing frequency.
+    self-consistent spasing frequency.  ``trajectory`` and
+    ``stability`` read the frame; the other commands print
+    frame-independent numbers.
 ``sweep``
     Up to three axes, each ``{"path": "gain.pump_g", "min": a,
     "max": b, "n": k}`` (linear grid) or ``{"path": ..., "values":

@@ -43,8 +43,7 @@ class SweepTable:
 
     ``columns`` are ``(name, unit)`` pairs; the unit string "1" marks a
     dimensionless column.  A row is a tuple of cells or, as the CLI
-    builds them, the ``str`` that :func:`render_row` made of one; the
-    column lookups below read cell tuples only.
+    builds them, the ``str`` that :func:`render_row` made of one.
     """
 
     columns: tuple[tuple[str, str], ...]
@@ -59,10 +58,6 @@ class SweepTable:
             if col == name:
                 return i
         raise KeyError(name)
-
-    def column(self, name: str) -> list:
-        idx = self.column_index(name)
-        return [row[idx] for row in self.rows]
 
 
 def config_hash(resolved: dict) -> str:

@@ -17,6 +17,7 @@ from spaserkit import analysis, cli, tables
 from spaserkit.analysis import (
     frame_at_spasing_frequency,
     growth_rate,
+    spasing_frequency,
     steady_state_numeric,
     threshold_find,
     weak_field_background,
@@ -99,7 +100,8 @@ class TestTrajectory:
         assert entry_point(["trajectory", "--config", cfg, "--out", out]) == 0
         table = read_csv(out)
         assert table.columns[0] == ("gain.pump_g", "rad/s")
-        pumps = sorted(set(table.column("gain.pump_g")))
+        idx = table.column_index("gain.pump_g")
+        pumps = sorted({row[idx] for row in table.rows})
         assert pumps == [6e12, 8e12]
 
     def test_auto_frame_without_spasing_frequency_warns_and_uses_omega21(
@@ -459,11 +461,29 @@ class TestStability:
             "omega_a", "pump_g", "gamma_s", "gamma_s_over_gamma_n",
             "leading_re", "leading_im",
         ]
-        gs = table.column("gamma_s")
+        gs = [row[table.column_index("gamma_s")] for row in table.rows]
         assert gs == sorted(gs)  # growth rate rises with pump
         ref = growth_rate(default_params(pump_g=8e12, omega_a_rabi=16e12))
         assert gs[-1] == pytest.approx(ref.gamma_s, rel=1e-9)
-        assert all(v == 16e12 for v in table.column("omega_a"))
+        assert all(row[table.column_index("omega_a")] == 16e12 for row in table.rows)
+
+    def test_auto_frame_rotates_at_the_spasing_frequency(self, tmp_path):
+        """Under ``nu_ref: "auto"`` a point's spectrum is taken in the frame
+        of its own spasing frequency: the data rows are those of an
+        explicit ``nu_ref`` at that frequency, and not those at omega21."""
+        model = {"gain": {"pump_g": 8e12}, "drive": {"omega_a_rabi": 16e12}}
+
+        def rows(nu_ref):
+            cfg = write_config(tmp_path, {"model": {**model, "frame": {"nu_ref": nu_ref}}})
+            out = tmp_path / "st.csv"
+            assert entry_point(["stability", "--config", cfg, "--out", str(out)]) == 0
+            return data_lines(out.read_text())
+
+        auto = rows("auto")
+        nu_s = spasing_frequency(default_params(pump_g=8e12, omega_a_rabi=16e12))
+        assert len(auto) == 2  # the header and one point
+        assert auto == rows(nu_s)
+        assert auto != rows(default_params().gain.omega21)
 
     def test_worker_count_does_not_change_the_bytes(self, tmp_path):
         cfg = write_config(tmp_path, {})

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import warnings
 from collections import Counter
 
@@ -20,7 +21,7 @@ from spaserkit.analysis import (
 from spaserkit.cli import entry_point
 from spaserkit.config import PRESETS, build_config
 from spaserkit.dynamics import integrate
-from spaserkit.errors import BookkeepingWarning, ConvergenceError
+from spaserkit.errors import BookkeepingWarning, ConvergenceError, SpaserError
 from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState, observables
 from spaserkit.tables import read_csv
@@ -307,9 +308,26 @@ class TestPresetFixedPoints:
 
     def test_newton_work(self, preset_pass):
         """(calls, failed calls, mismatch evaluations) of `_spasing_newton`
-        over the 567 points.  Below gamma21 the fixed seed ladder comes
-        before the growth-rate estimate, which overshoots the root there."""
-        assert preset_pass[1] == (495, 22, 4096)
+        over the 567 points.  The fixed seeds come before the growth-rate
+        estimate, which overshoots the root below gamma21; the 22 failing
+        calls stop once an iterate passes the amplitude ceiling."""
+        assert preset_pass[1] == (495, 22, 3754)
+
+    def test_plasmon_number_within_the_pump_bound(self, preset_pass):
+        """No fixed point holds more than N = n_p g / (2 gamma_n)."""
+        checked = 0
+        for preset in ("fig2", "fig3"):
+            config = build_config(PRESETS[preset])
+            (pump_axis, slice_axis) = config.axes
+            for value, results in preset_pass[0][preset].items():
+                base = set_param(config.model, slice_axis.path, value)
+                for pump, r in zip(pump_axis.values, results):
+                    if r.branch != "spasing":
+                        continue
+                    p = set_param(base, pump_axis.path, pump)
+                    assert r.n_n <= p.plasmon.n_p * p.gain.pump_g / (2.0 * p.plasmon.gamma_n)
+                    checked += 1
+        assert checked == 473
 
     def test_fixed_point_bits(self, preset_pass):
         """sha256 over the rows' float.hex of (n_n, n21, n32, nu_s), branch
@@ -326,6 +344,71 @@ class TestPresetFixedPoints:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "f024ebdfaabf2d2884c69ca7c3d46b26b0fb16975e1f5bac4381bc11da69c2ca"
         )
+
+
+class TestSeedOrder:
+    """One seed order in every regime: the strong- and weak-drive limits
+    (not positive at pump g <= gamma21, so no seed there), the fixed
+    plasmon numbers, and last the growth-rate estimate."""
+
+    @staticmethod
+    def seeds(monkeypatch, params):
+        tried = []
+        monkeypatch.setattr(
+            analysis, "_spasing_newton", lambda p, amp0, nu0: tried.append(amp0)
+        )
+        with pytest.raises(ConvergenceError):
+            steady_state_numeric(params)
+        return tried
+
+    def test_fixed_seed_first_at_or_below_gamma21(self, monkeypatch):
+        p = default_params(pump_g=3e12, omega_a_rabi=16e12)
+        assert p.gain.pump_g <= p.gain.gamma21
+        assert analysis.growth_rate(p).gamma_s > 0.0
+        assert self.seeds(monkeypatch, p)[0] == math.sqrt(1.0)
+
+    def test_strong_drive_limit_first_above_gamma21(self, monkeypatch):
+        p = default_params(pump_g=8e12, omega_a_rabi=16e12)
+        g, plasmon = p.gain, p.plasmon
+        strong = plasmon.n_p * (g.pump_g - g.gamma21) / (6.0 * plasmon.gamma_n)
+        assert self.seeds(monkeypatch, p)[0] == pytest.approx(math.sqrt(strong), rel=1e-15)
+
+
+def random_params(rng):
+    """One random parameter set, drawn in a fixed order; raises
+    ``SpaserError`` when the model rejects it."""
+    def lu(a, b):
+        return 10 ** rng.uniform(a, b)
+
+    p = default_params(
+        pump_g=lu(11.5, 14.5),
+        omega_a_rabi=rng.choice([0.0, lu(11, 14.5)]),
+        gamma_ph=rng.choice([0.0, lu(11, 14.5)]),
+        omega_b_single=lu(12.5, 14),
+    )
+    p = set_param(p, "plasmon.n_p", lu(2, 7))
+    for path in ("gain.gamma21", "gain.gamma31", "gain.gamma32"):
+        p = set_param(p, path, lu(9, 13.5))
+    return p
+
+
+def test_random_parameter_sets_outcomes():
+    """Robustness pin over 1,500 random parameter sets: (spasing points,
+    zero-branch points, ConvergenceErrors)."""
+    rng = random.Random(7)
+    counts = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while sum(counts.values()) < 1500:
+            try:
+                p = random_params(rng)
+            except SpaserError:
+                continue
+            try:
+                counts[steady_state_numeric(p).branch] += 1
+            except ConvergenceError:
+                counts["failed"] += 1
+    assert (counts["spasing"], counts["zero"], counts["failed"]) == (937, 538, 25)
 
 
 class TestNewtonOnly:

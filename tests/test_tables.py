@@ -289,7 +289,7 @@ class TestMetadata:
 def test_column_lookup_helpers():
     t = sample_table()
     assert t.column_index("N_n") == 1
-    assert t.column("pump_g") == [4.4e12, 6e12, 8e12]
+    assert [row[t.column_index("pump_g")] for row in t.rows] == [4.4e12, 6e12, 8e12]
     with pytest.raises(KeyError):
         t.column_index("missing")
 
