@@ -547,14 +547,15 @@ def threshold_find(
     so evaluated (a scan sample or a Brent iterate), and ``nu_s`` and
     ``residual`` are that evaluation's.  Raises
     :class:`NoThresholdError`, carrying the residual at both bracket
-    ends, when no scan cell changes sign.  With ``cross_check`` the same
+    ends, when no scan cell changes sign, and without them for a
+    bracket that is not 0 < lo < hi < inf.  With ``cross_check`` the same
     root is re-derived from the linear growth rate and the two must
     agree within 1% (warning otherwise).
     """
     if g_bracket is None:
         g_bracket = (1e8, 1e15)
     lo, hi = (float(g_bracket[0]), float(g_bracket[1]))
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise NoThresholdError(f"invalid pump bracket {g_bracket!r}")
 
     evaluated: dict[float, tuple[float, float]] = {}  # pump -> (nu_s, residual)
@@ -809,6 +810,26 @@ def _steady_result(
     )
 
 
+def _gauge_free_eigenvalues(op, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the reduced Jacobian at the spasing fixed point ``x``
+    (Im a = 0, A = Re a > 0) less its gauge zero, for the reduced operator
+    ``op`` in the frame of the point.
+
+    A global phase turns rho21, rho31 and a together, so the Jacobian J
+    maps its generator g = (0, 0, -x3, x2, -x5, x4, 0, 0, 0, A) to zero.
+    On the quotient by g, with Im a eliminated, J acts as the 9x9 matrix
+    J[:9, :9] - outer(g[:9], J[9, :9]) / A, whose eigenvalues are J's
+    without that zero: the gauge mode drops out exactly, with no
+    tolerance.  This is the one stability rule for spasing points: a
+    point is stable when no eigenvalue here has a positive real part.
+    A search for the pump where that first fails (the self-pulsing Hopf
+    threshold) should follow the largest real part of this spectrum.
+    """
+    jac = _operator_jacobian(op, x)
+    gauge = np.array([0.0, 0.0, -x[3], x[2], -x[5], x[4], 0.0, 0.0, 0.0])
+    return np.linalg.eigvals(jac[:9, :9] - np.outer(gauge, jac[9, :9]) / x[8])
+
+
 def _seed_amplitudes(candidates: list[float]):
     """Newton seeds sqrt(n f), f = 1, 0.1, 10, for each finite positive
     plasmon-number estimate n in order, skipping any within 0.1% of an
@@ -841,10 +862,13 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
     the fixed numbers 1, 100, 1e-2, 1e-4, and last the growth-rate
     estimate n_p gamma_s / (4 gamma_n).  At pump g <= gamma21 the limits
     are not positive, so they give no seed, and the estimate overshoots
-    the root by orders of magnitude.  Raises :class:`ConvergenceError`
-    when Newton fails from every seed.  Warns (:class:`BookkeepingWarning`)
-    when a spasing point without inversion has no more excited than
-    ground population.
+    the root by orders of magnitude.  A zero-branch result is ``stable``;
+    a spasing one is when no eigenvalue of the reduced Jacobian at the
+    root has a positive real part, its gauge zero removed exactly
+    (:func:`_gauge_free_eigenvalues`), not by a tolerance.  Raises
+    :class:`ConvergenceError` when Newton fails from every seed.  Warns
+    (:class:`BookkeepingWarning`) when a spasing point without inversion
+    has no more excited than ground population.
     """
     stab = growth_rate(params)
     try:
@@ -872,10 +896,7 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
         amp, nu_s, rho = root
         x = np.append(rho, (amp, 0.0))
         op = _reduced_operator(_coeffs(params, nu_s))
-        eigvals = np.linalg.eigvals(_operator_jacobian(op, x))
-        # the gauge (global phase) mode sits at zero; anything clearly above
-        # it signals instability of the operating point
-        stable = not bool(np.any(eigvals.real > 1e-6 * _rate_scale(params)))
+        stable = not bool(np.any(_gauge_free_eigenvalues(op, x).real > 0.0))
         result = _steady_result(params, x, op, nu_s, stable, "spasing")
         rho = result.rho_ss
         if result.n_n > 1e-9 and result.n21 < 0.0 and not (rho.p2 + rho.p3 > rho.p1):
@@ -1028,7 +1049,9 @@ def calibrate_coupling(
     the smallest coupling whose ratio sits within half the tolerance
     (0.5%) of the target is returned instead.  Raises
     :class:`CalibrationError` carrying the sampled (coupling, ratio)
-    curve when neither exists inside the bracket.
+    curve when neither exists inside the bracket, and without a curve
+    for a target that is not finite and > 0 or a bracket that is not
+    0 < lo < hi < inf.
 
     Each coupling's pair of thresholds (drive off, drive on) is found
     once per call, two :func:`threshold_find` calls, or one when the
@@ -1038,7 +1061,7 @@ def calibrate_coupling(
     if not (math.isfinite(target_ratio) and target_ratio > 0.0):
         raise CalibrationError(f"invalid target ratio {target_ratio!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise CalibrationError(f"invalid coupling bracket {bracket!r}")
 
     off = set_param(params, "drive.omega_a_rabi", 0.0)

@@ -9,10 +9,13 @@ Each of the four grid commands is one entry of ``_GRIDS``: what one grid
 point computes, the table's columns, the axis counts it accepts, and
 what a failed point becomes (a NaN row, or a ``<command> failed at``
 line on stderr for ``trajectory``).  One runner, ``_run_grid``, runs
-every entry.  ``calibrate`` is not a grid; it runs in the calling process.
+every entry.  ``calibrate`` is not a grid; it runs in the calling process.  The
+``--workers``, ``--tol`` and ``--seed-amplitude`` flags replace the
+file's ``options`` values before the config check, their only check.
 
 Exit codes: 0 — success; 2 — partial convergence (a table is still
-emitted with the unconverged rows flagged); 1 — config or usage error.
+emitted with the unconverged rows flagged); 1 — config or usage error,
+or an ``--out`` path that cannot be written.
 For ``threshold``, only a missing threshold (``NoThresholdError``) is a
 sentinel: its NaN row exits 0.  Any other error at a point, such as a
 swept value the model rejects, also writes the NaN row but exits 2.
@@ -34,7 +37,7 @@ import math
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +114,8 @@ class _Grid:
     ``compute(params, config)`` gives the rows of one point and ``columns``
     their names and units.  Each row starts with the swept values; the
     parameters of ``lead`` (path, column name) come after the other axes,
-    swept or not.  ``axes`` is the (min, max) number of sweep axes.
+    swept or not.  ``axes`` is the (min, max) number of sweep axes, and
+    the only statement of that rule: ``_run_grid`` words its error from it.
     A point that raises a :class:`SpaserError` becomes the row ``failed``
     or, when that is None, a ``<command> failed at`` line on stderr; it
     makes the run partial (exit 2) unless the error is a ``sentinel``.
@@ -121,7 +125,6 @@ class _Grid:
     compute: Callable[[ModelParams, RunConfig], list]
     columns: tuple[tuple[str, str], ...]
     axes: tuple[int, int]
-    axes_error: str
     failed: tuple | None
     sentinel: tuple[type[SpaserError], ...] = ()
     lead: tuple[tuple[str, str], ...] = ()
@@ -135,7 +138,6 @@ _GRIDS = {
                  ("rho33", "1"), ("re_rho21", "1"), ("im_rho21", "1"),
                  ("trace_err", "1")),
         axes=(0, 1),
-        axes_error="trajectory supports at most 1 sweep axis",
         failed=None,
     ),
     "steady-sweep": _Grid(
@@ -144,7 +146,6 @@ _GRIDS = {
         columns=(("N_n", "1"), ("n21", "1"), ("n32", "1"), ("nu_s", "rad/s"),
                  ("converged", "1")),
         axes=(1, 3),
-        axes_error="steady-sweep needs between 1 and 3 sweep axes",
         failed=(math.nan,) * 4 + (False,),
     ),
     "threshold": _Grid(
@@ -152,7 +153,6 @@ _GRIDS = {
         compute=_threshold,
         columns=(("g_th", "rad/s"), ("g_th_growth", "rad/s"), ("nu_s", "rad/s")),
         axes=(0, 1),
-        axes_error="threshold supports at most 1 sweep axis",
         failed=(math.nan,) * 3,
         # a missing threshold is a sentinel row, not a failure
         sentinel=(NoThresholdError,),
@@ -163,7 +163,6 @@ _GRIDS = {
         columns=(("gamma_s", "rad/s"), ("gamma_s_over_gamma_n", "1"),
                  ("leading_re", "rad/s"), ("leading_im", "rad/s")),
         axes=(0, 2),
-        axes_error="stability supports at most 2 sweep axes",
         failed=(math.nan,) * 4,
         lead=(("drive.omega_a_rabi", "omega_a"), ("gain.pump_g", "pump_g")),
     ),
@@ -195,8 +194,10 @@ def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bo
     """Every point of the grid in lexicographic axis order, as one table
     whose rows are already rendered in ``fmt``."""
     grid = _GRIDS[command]
-    if not grid.axes[0] <= len(config.axes) <= grid.axes[1]:
-        raise ConfigError(grid.axes_error)
+    least, most = grid.axes
+    if not least <= len(config.axes) <= most:
+        rule = f"needs between {least} and {most}" if least else f"supports at most {most}"
+        raise ConfigError(f"{command} {rule} sweep ax{'is' if most == 1 else 'es'}")
     points = list(itertools.product(*(axis.values for axis in config.axes)))
     tasks = [(command, config, values, fmt) for values in points]
     results = _map_points(_point, tasks, config.resolved_workers())
@@ -296,21 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        overrides["workers"] = args.workers
-    for dest in ("tol", "seed_amplitude"):  # registered on trajectory only
-        value = getattr(args, dest, None)
-        if value is not None:
-            if value <= 0.0:
-                raise ConfigError(f"--{dest.replace('_', '-')} must be positive")
-            overrides[dest] = value
-    return replace(config, options=replace(config.options, **overrides))
-
-
 def entry_point(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -318,13 +304,18 @@ def entry_point(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        config = parse_config(args.config, preset=args.preset)
-        config = _apply_overrides(config, args)
+        # the flags given; --tol and --seed-amplitude exist on trajectory only
+        flags = {k: v for k in ("workers", "tol", "seed_amplitude")
+                 if (v := getattr(args, k, None)) is not None}
+        config = parse_config(args.config, args.preset, flags)
         if args.command in _GRIDS:
             table, partial = _run_grid(args.command, config, args.format)
         else:
             table, partial = _cmd_calibrate(config)
-        text = write_table(table, args.out, args.format)
+        try:
+            text = write_table(table, args.out, args.format)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         if args.out is None:
             sys.stdout.write(text)
         return 2 if partial else 0

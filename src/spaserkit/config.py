@@ -25,8 +25,9 @@ A config file is a JSON object with (all optional) sections:
     hundredth of that, so every ``tol >= 1e-4`` gives the same run) and
     ``seed_amplitude`` (initial plasmon amplitude of a time-domain
     run), both read by ``trajectory`` only, which alone takes the
-    ``--tol`` and ``--seed-amplitude`` overrides; and ``workers``
-    (``--workers`` on every command; ``calibrate`` ignores it).
+    ``--tol`` and ``--seed-amplitude`` flags; and ``workers``
+    (``--workers`` on every command; ``calibrate`` ignores it).  A flag
+    replaces the file's value before the one check, :func:`build_config`.
 ``threshold``
     ``bracket``: ``[g_lo, g_hi]`` pump bracket for threshold scans.
 ``calibrate``
@@ -363,8 +364,11 @@ def build_config(data: dict) -> RunConfig:
     )
 
 
-def parse_config(path: str, preset: str | None = None) -> RunConfig:
-    """Load, merge (preset under file), validate."""
+def parse_config(
+    path: str, preset: str | None = None, options: dict | None = None
+) -> RunConfig:
+    """Load, merge (preset under file, file under the command-line values
+    ``options`` of the ``options`` section), validate."""
     data = load_config_dict(path)
     if preset is not None:
         if preset not in PRESETS:
@@ -372,6 +376,9 @@ def parse_config(path: str, preset: str | None = None) -> RunConfig:
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         data = merge_dicts(PRESETS[preset], data)
+    if options:
+        file_options = _require_mapping(data.get("options", {}), "options")
+        data = {**data, "options": {**file_options, **options}}
     return build_config(data)
 
 

@@ -21,13 +21,14 @@ for each stage, so the equations still live only there.
 
 from __future__ import annotations
 
+import cmath
 import linecache
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, StiffnessError, TraceDriftError
+from .errors import IntegrationError, InvalidStateError, StiffnessError, TraceDriftError
 from .params import ModelParams, complex_rates
 from .state import DensityMatrix3, SpaserState
 
@@ -411,7 +412,10 @@ def integrate(
     stored every ``store_every``-th accepted step; the start state and
     the step that reaches ``t_end`` are always stored.
 
-    Raises :class:`StiffnessError` on step-size underflow,
+    Raises :class:`IntegrationError` unless ``t_end``, ``rel_tol`` and
+    ``abs_tol`` are finite and > 0, and :class:`InvalidStateError` for a
+    start state with an invalid density matrix or a non-finite amplitude.
+    During the run it raises :class:`StiffnessError` on step-size underflow,
     :class:`TraceDriftError` if |trace(rho) - 1| exceeds 1e-6 (the
     start state must meet the same bound),
     and :class:`IntegrationError` if populations leave [0, 1] by more
@@ -419,9 +423,13 @@ def integrate(
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise IntegrationError(f"t_end must be a finite time > 0 s, got {t_end!r}")
-    if rel_tol <= 0.0 or abs_tol <= 0.0:
-        raise IntegrationError("rel_tol and abs_tol must be > 0")
+    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
+        raise IntegrationError(
+            f"rel_tol and abs_tol must be finite and > 0, got {rel_tol!r} and {abs_tol!r}"
+        )
     state0.rho.validate(trace_tol=_TRACE_TOL)
+    if not cmath.isfinite(state0.amplitude):
+        raise InvalidStateError(f"amplitude must be finite, got {state0.amplitude!r}")
     if max_step is None:
         max_step = 0.1 / params.plasmon.gamma_n
     if not max_step > 0.0:

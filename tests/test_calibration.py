@@ -90,6 +90,11 @@ def test_invalid_bracket_rejected(defaults):
         calibrate_coupling(defaults, target_ratio=-1.0)
 
 
+def test_infinite_bracket_end_rejected(defaults):
+    with pytest.raises(CalibrationError, match="invalid coupling bracket"):
+        calibrate_coupling(defaults, bracket=(1e12, math.inf))
+
+
 def test_result_is_insensitive_to_the_starting_coupling(defaults):
     """The calibration rewrites omega_b_single, so the value already stored
     on the input parameters must not matter."""

@@ -588,7 +588,48 @@ class TestErrors:
         assert entry_point(
             ["threshold", "--config", cfg, "--workers", "0"]
         ) == 1
-        assert "--workers" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: 'options.workers' must be an integer >= 1 or null\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "nan", "'options.tol' must be finite, got nan"),
+            ("--tol", "inf", "'options.tol' must be finite, got inf"),
+            ("--seed-amplitude", "nan", "'options.seed_amplitude' must be finite, got nan"),
+            ("--seed-amplitude", "inf", "'options.seed_amplitude' must be finite, got inf"),
+            ("--seed-amplitude", "0", "'options.seed_amplitude' must be positive"),
+        ],
+    )
+    def test_flags_pass_the_config_check(self, tmp_path, capsys, flag, value, message):
+        """A flag gets the check and the message its config key gets, and
+        a rejected run writes no table."""
+        cfg = write_config(tmp_path, {"trajectory": {"t_end": 1e-15}})
+        out = tmp_path / "traj.csv"
+        assert entry_point(["trajectory", "--config", cfg, "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_flag_replaces_the_file_value_before_the_check(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"trajectory": {"t_end": 1e-15}, "options": {"tol": NaN}}')
+        out = str(tmp_path / "traj.json")
+        assert entry_point(
+            ["trajectory", "--config", str(cfg), "--out", out, "--format", "json",
+             "--tol", "1e-7"]
+        ) == 0
+        assert read_json(out).metadata["config"]["options"]["tol"] == 1e-7
+
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"sweep": [{"path": "gain.pump_g", "values": [8e12]}]}
+        )
+        out = str(tmp_path / "missing" / "table.csv")
+        assert entry_point(["steady-sweep", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
 
     def test_unknown_command_usage_error(self):
         assert entry_point(["frobnicate", "--config", "x"]) == 1

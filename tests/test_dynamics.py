@@ -285,6 +285,22 @@ class TestIntegrator:
         with pytest.raises(IntegrationError, match="max_step"):
             integrate(s0, p, 1e-14, max_step=-1.0)
 
+    @pytest.mark.parametrize(
+        "tols", [{"rel_tol": math.nan}, {"abs_tol": math.nan}, {"rel_tol": math.inf},
+                 {"abs_tol": math.inf}],
+    )
+    def test_rejects_non_finite_tolerances(self, tols):
+        s0 = SpaserState(rho=DensityMatrix3.ground(), amplitude=1e-3 + 0j)
+        with pytest.raises(IntegrationError, match="finite and > 0") as exc_info:
+            integrate(s0, driven_params(), 1e-14, **tols)
+        assert not isinstance(exc_info.value, StiffnessError)
+
+    @pytest.mark.parametrize("amplitude", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_rejects_a_non_finite_start_amplitude(self, amplitude):
+        s0 = SpaserState(rho=DensityMatrix3.ground(), amplitude=amplitude)
+        with pytest.raises(InvalidStateError, match="amplitude"):
+            integrate(s0, driven_params(), 1e-14)
+
     def test_rejects_invalid_initial_state(self):
         bad = SpaserState(rho=DensityMatrix3(p1=0.9, p2=0.0, p3=0.0))
         with pytest.raises(InvalidStateError):

@@ -13,6 +13,7 @@ import pytest
 from helpers import make_params
 from spaserkit import analysis
 from spaserkit.analysis import (
+    reduced_jacobian,
     spasing_frequency,
     steady_state_numeric,
     threshold_find,
@@ -20,7 +21,7 @@ from spaserkit.analysis import (
 )
 from spaserkit.cli import entry_point
 from spaserkit.config import PRESETS, build_config
-from spaserkit.dynamics import integrate
+from spaserkit.dynamics import _coeffs, _pack_reduced, _reduced_operator, integrate
 from spaserkit.errors import BookkeepingWarning, ConvergenceError, SpaserError
 from spaserkit.params import default_params, set_param
 from spaserkit.state import DensityMatrix3, SpaserState, observables
@@ -164,6 +165,34 @@ class TestSpasingBranch:
         res = steady_state_numeric(default_params(pump_g=2e13, omega_a_rabi=16e12))
         res.rho_ss.validate()
         assert isinstance(res.rho_ss, DensityMatrix3)
+
+
+class TestSpasingStability:
+    """``stable`` removes the gauge zero mode exactly, so it turns at the
+    self-pulsing (Hopf) threshold, 1.0264 g_th at the defaults, where a
+    complex pair crosses at a real part far under the fastest rate."""
+
+    @pytest.mark.parametrize("pump, stable", [(4.14782e12, True), (4.14784e12, False)])
+    def test_turns_at_the_hopf_point(self, pump, stable):
+        res = steady_state_numeric(default_params(pump_g=pump))
+        assert res.branch == "spasing"
+        assert res.stable is stable
+
+    def test_quotient_spectrum_is_the_jacobian_spectrum_less_its_gauge_zero(self):
+        params = default_params(pump_g=1e13, omega_a_rabi=4e12, gamma_ph=0.0)  # a fig2 point
+        res = steady_state_numeric(params)
+        assert res.branch == "spasing" and res.amplitude.imag == 0.0
+        x = _pack_reduced(SpaserState(res.rho_ss, res.amplitude))
+        full = list(np.linalg.eigvals(reduced_jacobian(x, params, res.nu_s)))
+        full.remove(min(full, key=abs))  # the gauge zero
+        op = _reduced_operator(_coeffs(params, res.nu_s))
+        quotient = analysis._gauge_free_eigenvalues(op, x)
+        assert len(quotient) == len(full) == 9
+        scale = max(abs(v) for v in full)
+        for value in quotient:
+            nearest = min(full, key=lambda w: abs(w - value))
+            assert abs(nearest - value) <= 1e-9 * scale
+            full.remove(nearest)
 
 
 class TestBookkeepingWarning:

@@ -154,6 +154,10 @@ class TestThresholdFind:
         with pytest.raises(NoThresholdError):
             threshold_find(defaults, g_bracket=(1e12, 1e10))
 
+    def test_infinite_bracket_end_rejected(self, defaults):
+        with pytest.raises(NoThresholdError, match="invalid pump bracket"):
+            threshold_find(defaults, g_bracket=(1e8, math.inf))
+
     def test_root_lies_inside_the_bracket(self, defaults):
         res = threshold_find(defaults, g_bracket=(1e11, 1e14))
         assert 1e11 <= res.g_th <= 1e14
