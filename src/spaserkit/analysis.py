@@ -42,6 +42,7 @@ from .errors import (
     NonResonantDriveError,
     NoThresholdError,
     RegimeWarning,
+    SpaserError,
 )
 from .params import ComplexRates, ModelParams, complex_rates, set_param
 from .state import DensityMatrix3, SpaserState
@@ -527,6 +528,18 @@ class ThresholdResult:
         return abs(self.g_th - self.g_th_growth) / self.g_th
 
 
+def _bracket_ends(bracket, error: type[SpaserError], what: str) -> tuple[float, float]:
+    """The two ends of ``bracket`` as floats with 0 < lo < hi < inf, else
+    ``error("invalid <what> bracket ...")``."""
+    try:
+        lo, hi = map(float, bracket)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if not 0.0 < lo < hi < math.inf:
+        raise error(f"invalid {what} bracket {bracket!r}")
+    return lo, hi
+
+
 def _growth_at_g(params: ModelParams, g: float) -> float:
     return growth_rate(set_param(params, "gain.pump_g", g)).gamma_s
 
@@ -547,16 +560,15 @@ def threshold_find(
     so evaluated (a scan sample or a Brent iterate), and ``nu_s`` and
     ``residual`` are that evaluation's.  Raises
     :class:`NoThresholdError`, carrying the residual at both bracket
-    ends, when no scan cell changes sign, and without them for a
-    bracket that is not 0 < lo < hi < inf.  With ``cross_check`` the same
+    ends, when no scan cell changes sign, and without them ("invalid pump
+    bracket") for a bracket that is not two numbers with
+    0 < lo < hi < inf.  With ``cross_check`` the same
     root is re-derived from the linear growth rate and the two must
     agree within 1% (warning otherwise).
     """
     if g_bracket is None:
         g_bracket = (1e8, 1e15)
-    lo, hi = (float(g_bracket[0]), float(g_bracket[1]))
-    if not (0.0 < lo < hi < math.inf):
-        raise NoThresholdError(f"invalid pump bracket {g_bracket!r}")
+    lo, hi = _bracket_ends(g_bracket, NoThresholdError, "pump")
 
     evaluated: dict[float, tuple[float, float]] = {}  # pump -> (nu_s, residual)
 
@@ -1050,8 +1062,8 @@ def calibrate_coupling(
     (0.5%) of the target is returned instead.  Raises
     :class:`CalibrationError` carrying the sampled (coupling, ratio)
     curve when neither exists inside the bracket, and without a curve
-    for a target that is not finite and > 0 or a bracket that is not
-    0 < lo < hi < inf.
+    for a target that is not finite and > 0 or ("invalid coupling
+    bracket") a bracket that is not two numbers with 0 < lo < hi < inf.
 
     Each coupling's pair of thresholds (drive off, drive on) is found
     once per call, two :func:`threshold_find` calls, or one when the
@@ -1060,9 +1072,7 @@ def calibrate_coupling(
     """
     if not (math.isfinite(target_ratio) and target_ratio > 0.0):
         raise CalibrationError(f"invalid target ratio {target_ratio!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi < math.inf):
-        raise CalibrationError(f"invalid coupling bracket {bracket!r}")
+    lo, hi = _bracket_ends(bracket, CalibrationError, "coupling")
 
     off = set_param(params, "drive.omega_a_rabi", 0.0)
     on = set_param(params, "drive.omega_a_rabi", float(omega_a_on))

@@ -36,7 +36,10 @@ A config file is a JSON object with (all optional) sections:
 
 Unknown keys anywhere are rejected with their dotted path.  The
 sections after ``sweep`` are the frozen dataclasses below: their field
-names are the keys and their defaults the only statement of the defaults.
+names are the keys, their defaults the only statement of the defaults,
+and each field names the parser that reads and checks its value
+(``_option``).  ``model`` values are converted to rad/s here and checked
+by the rule on their parameter field (:mod:`spaserkit.params`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import groupby
 
 from .errors import ConfigError
@@ -83,29 +87,103 @@ class SweepAxis:
     values: tuple[float, ...]
 
 
+# --- value parsers: each reads one config leaf at its dotted path ---------
+
+def _number(node, path: str) -> float:
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ConfigError(f"'{path}' must be a number, got {node!r}")
+    value = float(node)
+    if not math.isfinite(value):
+        raise ConfigError(f"'{path}' must be finite, got {node!r}")
+    return value
+
+
+def _quantity(node, path: str, *, kind: str) -> float:
+    """Convert a config leaf to internal units (rad/s or seconds)."""
+    if isinstance(node, dict):
+        _reject_unknown(node, ("value", "unit"), path)
+        if "value" not in node or "unit" not in node:
+            raise ConfigError(f"'{path}' needs both 'value' and 'unit'")
+        value = _number(node["value"], f"{path}.value")
+        unit = node["unit"]
+        if kind == "time":
+            if unit not in _TIME_UNITS:
+                raise ConfigError(
+                    f"'{path}.unit' must be one of {sorted(_TIME_UNITS)}, got {unit!r}"
+                )
+            return value * _TIME_UNITS[unit]
+        if unit == "rad/s":
+            return value
+        if unit == "eV":
+            return ev_to_angular(value)
+        raise ConfigError(f"'{path}.unit' must be 'rad/s' or 'eV', got {unit!r}")
+    return _number(node, path)
+
+
+def _sign(parse, word: str):
+    """``parse``, then require a value that is ``word``: "positive" (> 0)
+    or "nonnegative" (>= 0)."""
+
+    def parse_signed(node, path: str) -> float:
+        value = parse(node, path)
+        if value < 0.0 or (value == 0.0 and word == "positive"):
+            raise ConfigError(f"'{path}' must be {word}")
+        return value
+
+    return parse_signed
+
+
+def _count(node, path: str, *, nullable: bool = False) -> int | None:
+    """An ``int`` >= 1 (never a ``bool``), or ``null`` where ``nullable``."""
+    if nullable and node is None:
+        return None
+    if isinstance(node, bool) or not isinstance(node, int) or node < 1:
+        rule = "an integer >= 1 or null" if nullable else "an integer >= 1"
+        raise ConfigError(f"'{path}' must be {rule}")
+    return node
+
+
+def _parse_bracket(raw, path: str) -> tuple[float, float]:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ConfigError(f"'{path}' must be a [low, high] pair")
+    lo = _number(raw[0], f"{path}[0]")
+    hi = _number(raw[1], f"{path}[1]")
+    if not 0.0 < lo < hi:
+        raise ConfigError(f"'{path}' needs 0 < low < high")
+    return (lo, hi)
+
+
+def _option(default, parse):
+    """An option field: its default, and the parser that reads and checks
+    a config-file value for it."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class TrajectoryOptions:
-    t_end: float = 6.0e-14
-    store_every: int = 1
+    t_end: float = _option(6.0e-14, _sign(partial(_quantity, kind="time"), "positive"))
+    store_every: int = _option(1, _count)
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    tol: float = 1e-6
-    seed_amplitude: float = 1e-3
-    workers: int | None = None
+    tol: float = _option(1e-6, _sign(_number, "positive"))
+    seed_amplitude: float = _option(1e-3, _sign(_number, "positive"))
+    workers: int | None = _option(None, partial(_count, nullable=True))
 
 
 @dataclass(frozen=True)
 class ThresholdOptions:
-    bracket: tuple[float, float] | None = None
+    bracket: tuple[float, float] | None = _option(None, _parse_bracket)
 
 
 @dataclass(frozen=True)
 class CalibrateOptions:
-    bracket: tuple[float, float] = (1.0e12, 1.0e14)
-    target_ratio: float = 2.0
-    omega_a_on: float = 16.0e12
+    bracket: tuple[float, float] = _option((1.0e12, 1.0e14), _parse_bracket)
+    target_ratio: float = _option(2.0, _sign(_number, "positive"))
+    omega_a_on: float = _option(
+        16.0e12, _sign(partial(_quantity, kind="frequency"), "nonnegative")
+    )
 
 
 @dataclass(frozen=True)
@@ -131,6 +209,11 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
+#: The config-file sections after ``sweep``, each read by :func:`_section`.
+_SECTIONS = {"trajectory": TrajectoryOptions, "options": RunOptions,
+             "threshold": ThresholdOptions, "calibrate": CalibrateOptions}
+
+
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"'{path}' must be an object, got {type(node).__name__}")
@@ -144,50 +227,17 @@ def _reject_unknown(node: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown config key '{where}'")
 
 
-def _section(data: dict, name: str, cls) -> dict:
-    """The config-file section ``name``, whose keys are the fields of ``cls``."""
+def _section(data: dict, name: str, cls):
+    """The config-file section ``name`` as a ``cls``: each key present is a
+    field of ``cls``, read by the parser on that field; an absent key
+    takes the field's default."""
     node = _require_mapping(data.get(name, {}), name)
     _reject_unknown(node, [f.name for f in fields(cls)], name)
-    return node
-
-
-def _number(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"'{path}' must be a number, got {node!r}")
-    value = float(node)
-    if not math.isfinite(value):
-        raise ConfigError(f"'{path}' must be finite, got {node!r}")
-    return value
-
-
-def _positive(node: dict, section: str, cls, key: str) -> float:
-    """``node[key]`` as a positive number, by default ``cls``'s default."""
-    value = _number(node.get(key, getattr(cls, key)), f"{section}.{key}")
-    if value <= 0.0:
-        raise ConfigError(f"'{section}.{key}' must be positive")
-    return value
-
-
-def _quantity(node, path: str, *, kind: str) -> float:
-    """Convert a config leaf to internal units (rad/s or seconds)."""
-    if isinstance(node, dict):
-        _reject_unknown(node, ("value", "unit"), path)
-        if "value" not in node or "unit" not in node:
-            raise ConfigError(f"'{path}' needs both 'value' and 'unit'")
-        value = _number(node["value"], f"{path}.value")
-        unit = node["unit"]
-        if kind == "time":
-            if unit not in _TIME_UNITS:
-                raise ConfigError(
-                    f"'{path}.unit' must be one of {sorted(_TIME_UNITS)}, got {unit!r}"
-                )
-            return value * _TIME_UNITS[unit]
-        if unit == "rad/s":
-            return value
-        if unit == "eV":
-            return ev_to_angular(value)
-        raise ConfigError(f"'{path}.unit' must be 'rad/s' or 'eV', got {unit!r}")
-    return _number(node, path)
+    return cls(**{
+        f.name: f.metadata["parse"](node[f.name], f"{name}.{f.name}")
+        for f in fields(cls)
+        if f.name in node
+    })
 
 
 def load_config_dict(path: str) -> dict:
@@ -280,21 +330,9 @@ def _parse_axis(node, index: int) -> SweepAxis:
     return SweepAxis(path=path, values=values)
 
 
-def _parse_bracket(raw, path: str) -> tuple[float, float]:
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise ConfigError(f"'{path}' must be a [low, high] pair")
-    lo = _number(raw[0], f"{path}[0]")
-    hi = _number(raw[1], f"{path}[1]")
-    if not 0.0 < lo < hi:
-        raise ConfigError(f"'{path}' needs 0 < low < high")
-    return (lo, hi)
-
-
 def build_config(data: dict) -> RunConfig:
     """Validate a merged config dict into a RunConfig."""
-    _reject_unknown(
-        data, ("model", "sweep", "trajectory", "options", "threshold", "calibrate"), ""
-    )
+    _reject_unknown(data, ("model", "sweep", *_SECTIONS), "")
 
     model_node = _require_mapping(data.get("model", {}), "model")
     model, frame_auto = _apply_model(model_node)
@@ -311,56 +349,11 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError(f"'sweep': duplicate axis path {axis.path!r}")
         seen.add(axis.path)
 
-    traj_node = _section(data, "trajectory", TrajectoryOptions)
-    traj = TrajectoryOptions()
-    if "t_end" in traj_node:
-        t_end = _quantity(traj_node["t_end"], "trajectory.t_end", kind="time")
-        if t_end <= 0.0:
-            raise ConfigError("'trajectory.t_end' must be positive")
-        traj = replace(traj, t_end=t_end)
-    if "store_every" in traj_node:
-        every = traj_node["store_every"]
-        if isinstance(every, bool) or not isinstance(every, int) or every < 1:
-            raise ConfigError("'trajectory.store_every' must be an integer >= 1")
-        traj = replace(traj, store_every=every)
-
-    opt_node = _section(data, "options", RunOptions)
-    tol = _positive(opt_node, "options", RunOptions, "tol")
-    seed = _positive(opt_node, "options", RunOptions, "seed_amplitude")
-    workers = opt_node.get("workers", RunOptions.workers)
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
-    ):
-        raise ConfigError("'options.workers' must be an integer >= 1 or null")
-
-    th_node = _section(data, "threshold", ThresholdOptions)
-    bracket = ThresholdOptions.bracket
-    if "bracket" in th_node:
-        bracket = _parse_bracket(th_node["bracket"], "threshold.bracket")
-
-    cal_node = _section(data, "calibrate", CalibrateOptions)
-    cal_bracket = CalibrateOptions.bracket
-    if "bracket" in cal_node:
-        cal_bracket = _parse_bracket(cal_node["bracket"], "calibrate.bracket")
-    cal_target = _positive(cal_node, "calibrate", CalibrateOptions, "target_ratio")
-    cal_on = _quantity(
-        cal_node.get("omega_a_on", CalibrateOptions.omega_a_on),
-        "calibrate.omega_a_on",
-        kind="frequency",
-    )
-    if cal_on < 0.0:
-        raise ConfigError("'calibrate.omega_a_on' must be nonnegative")
-
     return RunConfig(
         model=model,
         frame_auto=frame_auto,
         axes=axes,
-        trajectory=traj,
-        options=RunOptions(tol=tol, seed_amplitude=seed, workers=workers),
-        threshold=ThresholdOptions(bracket=bracket),
-        calibrate=CalibrateOptions(
-            bracket=cal_bracket, target_ratio=cal_target, omega_a_on=cal_on
-        ),
+        **{name: _section(data, name, cls) for name, cls in _SECTIONS.items()},
     )
 
 

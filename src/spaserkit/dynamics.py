@@ -413,7 +413,9 @@ def integrate(
     the step that reaches ``t_end`` are always stored.
 
     Raises :class:`IntegrationError` unless ``t_end``, ``rel_tol`` and
-    ``abs_tol`` are finite and > 0, and :class:`InvalidStateError` for a
+    ``abs_tol`` are finite and > 0 and ``max_steps`` and ``store_every``
+    are each an ``int`` >= 1 (never a ``bool``), and
+    :class:`InvalidStateError` for a
     start state with an invalid density matrix or a non-finite amplitude.
     During the run it raises :class:`StiffnessError` on step-size underflow,
     :class:`TraceDriftError` if |trace(rho) - 1| exceeds 1e-6 (the
@@ -434,7 +436,9 @@ def integrate(
         max_step = 0.1 / params.plasmon.gamma_n
     if not max_step > 0.0:
         raise IntegrationError(f"max_step must be > 0 s, got {max_step!r}")
-    store_every = max(1, int(store_every))
+    for name, count in (("max_steps", max_steps), ("store_every", store_every)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise IntegrationError(f"{name} must be an integer >= 1, got {count!r}")
 
     c = _coeffs(params)
     pop_bound = max(1e-6, 10.0 * rel_tol)

@@ -5,6 +5,11 @@ spasing transition |2>->|1>, driven transition |3>-|2>, incoherent pump
 |1>->|3>) to a single plasmon mode.  All rates and frequencies are SI
 angular quantities (rad/s).
 
+Each leaf's rule (a finite ``int`` or ``float``, never a ``bool``, and
+its lower bound) and its unit are stated once, on its dataclass field
+via ``_leaf``; the groups' shared ``__post_init__`` checks every leaf
+against it and :func:`param_unit` reads the unit from it.
+
 Default values at the bottom of the module are tagged by provenance:
 "literature" (representative published values for a silver-nanosphere
 spaser), "assumed" (chosen to satisfy the rate orderings the analytic
@@ -15,8 +20,9 @@ limits require), or "calibrated" (fixed by
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .errors import ConfigError, RegimeWarning
@@ -47,27 +53,36 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+def _leaf(noun: str, bound: float = -math.inf, *, strict: bool = False,
+          unit: str = "rad/s", **default):
+    """A parameter field and its rule: a finite real number (an ``int`` or
+    ``float``, never a ``bool``) that is at least ``bound``, or above it
+    when ``strict``.  The rule's wording names the ``noun``, the bound and
+    the ``unit``; ``default`` passes on a field default."""
+    limit = "" if bound == -math.inf else f" {'>' if strict else '>='} {bound}"
+    wording = noun + limit + (f" {unit}" if limit and unit != "1" else "")
+    return field(metadata={"rule": (bound, strict, wording), "unit": unit}, **default)
 
 
-def _check_rate(group: str, name: str, value: float) -> None:
-    _require(
-        isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0,
-        f"{group}.{name} must be a finite rate >= 0 rad/s, got {value!r}",
-    )
+class _Group:
+    """Base of the four parameter groups: construction checks each leaf
+    against the rule on its field."""
 
-
-def _check_positive_frequency(group: str, name: str, value: float) -> None:
-    _require(
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0,
-        f"{group}.{name} must be a finite frequency > 0 rad/s, got {value!r}",
-    )
+    def __post_init__(self) -> None:
+        for name, path, (bound, strict, wording) in _LEAVES[type(self)]:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value < bound
+                or (strict and value == bound)
+            ):
+                raise ConfigError(f"{path} must be a finite {wording}, got {value!r}")
 
 
 @dataclass(frozen=True)
-class GainParams:
+class GainParams(_Group):
     """Rates and transition frequencies of the gain chromophores.
 
     ``gamma21``, ``gamma31``, ``gamma32`` are population decay rates of
@@ -76,23 +91,17 @@ class GainParams:
     ``omega32`` are the |2>-|1> and |3>-|2> transition frequencies.
     """
 
-    omega21: float
-    omega32: float
-    gamma21: float
-    gamma31: float
-    gamma32: float
-    gamma_ph: float = 0.0
-    pump_g: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("gamma21", "gamma31", "gamma32", "gamma_ph", "pump_g"):
-            _check_rate("gain", name, getattr(self, name))
-        for name in ("omega21", "omega32"):
-            _check_positive_frequency("gain", name, getattr(self, name))
+    omega21: float = _leaf("frequency", 0, strict=True)
+    omega32: float = _leaf("frequency", 0, strict=True)
+    gamma21: float = _leaf("rate", 0)
+    gamma31: float = _leaf("rate", 0)
+    gamma32: float = _leaf("rate", 0)
+    gamma_ph: float = _leaf("rate", 0, default=0.0)
+    pump_g: float = _leaf("rate", 0, default=0.0)
 
 
 @dataclass(frozen=True)
-class PlasmonParams:
+class PlasmonParams(_Group):
     """Plasmon mode frequency/loss plus the gain-coupling bookkeeping.
 
     ``n_p`` is the number of chromophores coupled to the mode and
@@ -101,30 +110,14 @@ class PlasmonParams:
     ``omega_b_single * a``.
     """
 
-    omega_n: float
-    gamma_n: float
-    n_p: float = 1.0
-    omega_b_single: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_positive_frequency("plasmon", "omega_n", self.omega_n)
-        _require(
-            math.isfinite(self.gamma_n) and self.gamma_n > 0.0,
-            f"plasmon.gamma_n must be a finite rate > 0 rad/s, got {self.gamma_n!r}",
-        )
-        _require(
-            math.isfinite(self.n_p) and self.n_p >= 1.0,
-            f"plasmon.n_p must be a finite count >= 1, got {self.n_p!r}",
-        )
-        _require(
-            math.isfinite(self.omega_b_single) and self.omega_b_single >= 0.0,
-            "plasmon.omega_b_single must be a finite coupling >= 0 rad/s, "
-            f"got {self.omega_b_single!r}",
-        )
+    omega_n: float = _leaf("frequency", 0, strict=True)
+    gamma_n: float = _leaf("rate", 0, strict=True)
+    n_p: float = _leaf("count", 1, unit="1", default=1.0)
+    omega_b_single: float = _leaf("coupling", 0, default=0.0)
 
 
 @dataclass(frozen=True)
-class DriveParams:
+class DriveParams(_Group):
     """Coherent drive on |2><->|3>: Rabi frequency and detuning.
 
     ``delta_a = omega32 - nu_a`` where ``nu_a`` is the drive frequency;
@@ -132,25 +125,25 @@ class DriveParams:
     with the rotating-frame choice of :class:`FrameParams`.
     """
 
-    omega_a_rabi: float = 0.0
-    delta_a: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_rate("drive", "omega_a_rabi", self.omega_a_rabi)
-        _require(
-            isinstance(self.delta_a, (int, float)) and math.isfinite(self.delta_a),
-            f"drive.delta_a must be a finite detuning, got {self.delta_a!r}",
-        )
+    omega_a_rabi: float = _leaf("rate", 0, default=0.0)
+    delta_a: float = _leaf("detuning", default=0.0)
 
 
 @dataclass(frozen=True)
-class FrameParams:
+class FrameParams(_Group):
     """Rotating-frame reference frequency for the spasing transition/plasmon."""
 
-    nu_ref: float
+    nu_ref: float = _leaf("frequency", 0, strict=True)
 
-    def __post_init__(self) -> None:
-        _check_positive_frequency("frame", "nu_ref", self.nu_ref)
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel``, seen from the function that calls this one, of
+    the first frame outside this module and the dataclass machinery (the
+    generated ``__init__`` and :func:`dataclasses.replace`)."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -163,10 +156,9 @@ class ModelParams:
     frame: FrameParams
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.gain, GainParams), "gain must be a GainParams")
-        _require(isinstance(self.plasmon, PlasmonParams), "plasmon must be a PlasmonParams")
-        _require(isinstance(self.drive, DriveParams), "drive must be a DriveParams")
-        _require(isinstance(self.frame, FrameParams), "frame must be a FrameParams")
+        for group, cls in _GROUPS.items():
+            if not isinstance(getattr(self, group), cls):
+                raise ConfigError(f"{group} must be a {cls.__name__}")
         for name, detuning in (("delta_b", self.delta_b), ("delta_n", self.delta_n)):
             if abs(detuning) > 0.1 * self.frame.nu_ref:
                 warnings.warn(
@@ -174,7 +166,7 @@ class ModelParams:
                     f"frame frequency nu_ref = {self.frame.nu_ref:.3e} rad/s; the "
                     "slowly-varying-envelope treatment is dubious here",
                     RegimeWarning,
-                    stacklevel=2,
+                    stacklevel=_caller_stacklevel(),
                 )
 
     @property
@@ -186,6 +178,20 @@ class ModelParams:
     def delta_n(self) -> float:
         """Detuning of the plasmon mode from the rotating frame."""
         return self.plasmon.omega_n - self.frame.nu_ref
+
+
+#: Group name -> its class, in declaration order.
+_GROUPS = get_type_hints(ModelParams)
+#: Group class -> (field name, dotted path, rule) of each of its leaves.
+_LEAVES = {
+    cls: [(f.name, f"{group}.{f.name}", f.metadata["rule"]) for f in fields(cls)]
+    for group, cls in _GROUPS.items()
+}
+#: Dotted parameter path -> its unit, in declaration order.
+_UNITS = {
+    f"{group}.{f.name}": f.metadata["unit"]
+    for group, cls in _GROUPS.items() for f in fields(cls)
+}
 
 
 @dataclass(frozen=True)
@@ -285,32 +291,23 @@ def default_params(
     )
 
 
-#: Dotted parameter path -> (group, field), in declaration order.
-_PATHS = {
-    f"{group}.{leaf.name}": (group, leaf.name)
-    for group, cls in get_type_hints(ModelParams).items()
-    for leaf in fields(cls)
-}
-
-
-def _lookup(path: str) -> tuple[str, str]:
-    try:
-        return _PATHS[path]
-    except KeyError:
-        raise ConfigError(
-            f"unknown parameter path {path!r}; expected one of {', '.join(_PATHS)}"
-        ) from None
+def _lookup(path: str) -> list[str]:
+    """``[group, field name]`` of a dotted parameter path."""
+    if path not in _UNITS:
+        expected = ", ".join(_UNITS)
+        raise ConfigError(f"unknown parameter path {path!r}; expected one of {expected}")
+    return path.split(".")
 
 
 def param_paths() -> tuple[str, ...]:
     """All valid dotted parameter paths, e.g. ``gain.pump_g``."""
-    return tuple(_PATHS)
+    return tuple(_UNITS)
 
 
 def param_unit(path: str) -> str:
-    """Unit of a parameter: "1" for the chromophore count, else rad/s."""
+    """Unit of a parameter, as its field states it: "1" or rad/s."""
     _lookup(path)
-    return "1" if path == "plasmon.n_p" else "rad/s"
+    return _UNITS[path]
 
 
 def get_param(params: ModelParams, path: str) -> float:

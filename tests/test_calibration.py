@@ -90,6 +90,15 @@ def test_invalid_bracket_rejected(defaults):
         calibrate_coupling(defaults, target_ratio=-1.0)
 
 
+@pytest.mark.parametrize(
+    "bracket", [(1e12,), (1e12, 1e13, 1e14), (), 1e12, (None, 1e14)]
+)
+def test_bracket_that_is_not_two_numbers_rejected(defaults, bracket):
+    with pytest.raises(CalibrationError) as err:
+        calibrate_coupling(defaults, bracket=bracket)
+    assert str(err.value) == f"invalid coupling bracket {bracket!r}"
+
+
 def test_infinite_bracket_end_rejected(defaults):
     with pytest.raises(CalibrationError, match="invalid coupling bracket"):
         calibrate_coupling(defaults, bracket=(1e12, math.inf))

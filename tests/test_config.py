@@ -2,12 +2,17 @@
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 from helpers import OMEGA_21
 from spaserkit.config import (
     PRESETS,
+    CalibrateOptions,
+    RunOptions,
+    ThresholdOptions,
+    TrajectoryOptions,
     build_config,
     load_config_dict,
     merge_dicts,
@@ -179,6 +184,93 @@ class TestOptionsAndBrackets:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tol"):
             build_config({"options": {"tol": 0.0}})
+
+
+#: (section, key, value, the full message it gets) for each of the nine
+#: option fields, including the number checks every numeric field shares
+OPTION_MESSAGES = [
+    ("trajectory", "t_end", 0.0, "'trajectory.t_end' must be positive"),
+    ("trajectory", "t_end", {"value": -1.0, "unit": "fs"},
+     "'trajectory.t_end' must be positive"),
+    ("trajectory", "t_end", "1e-12", "'trajectory.t_end' must be a number, got '1e-12'"),
+    ("trajectory", "t_end", float("inf"), "'trajectory.t_end' must be finite, got inf"),
+    ("trajectory", "t_end", {"value": 1.0, "unit": "ms"},
+     "'trajectory.t_end.unit' must be one of ['fs', 'ps', 's'], got 'ms'"),
+    ("trajectory", "store_every", 0, "'trajectory.store_every' must be an integer >= 1"),
+    ("trajectory", "store_every", 2.0, "'trajectory.store_every' must be an integer >= 1"),
+    ("trajectory", "store_every", True, "'trajectory.store_every' must be an integer >= 1"),
+    ("options", "tol", -1e-6, "'options.tol' must be positive"),
+    ("options", "tol", None, "'options.tol' must be a number, got None"),
+    ("options", "tol", float("nan"), "'options.tol' must be finite, got nan"),
+    ("options", "seed_amplitude", 0, "'options.seed_amplitude' must be positive"),
+    ("options", "seed_amplitude", True,
+     "'options.seed_amplitude' must be a number, got True"),
+    ("options", "seed_amplitude", float("-inf"),
+     "'options.seed_amplitude' must be finite, got -inf"),
+    ("options", "workers", 0, "'options.workers' must be an integer >= 1 or null"),
+    ("options", "workers", 2.0, "'options.workers' must be an integer >= 1 or null"),
+    ("options", "workers", False, "'options.workers' must be an integer >= 1 or null"),
+    ("threshold", "bracket", [1e10], "'threshold.bracket' must be a [low, high] pair"),
+    ("threshold", "bracket", None, "'threshold.bracket' must be a [low, high] pair"),
+    ("threshold", "bracket", [0.0, 1e10], "'threshold.bracket' needs 0 < low < high"),
+    ("threshold", "bracket", ["1", 2.0],
+     "'threshold.bracket[0]' must be a number, got '1'"),
+    ("threshold", "bracket", [1.0, float("nan")],
+     "'threshold.bracket[1]' must be finite, got nan"),
+    ("calibrate", "bracket", [1e12, 1e13, 1e14],
+     "'calibrate.bracket' must be a [low, high] pair"),
+    ("calibrate", "bracket", [1e13, 1e12], "'calibrate.bracket' needs 0 < low < high"),
+    ("calibrate", "bracket", [1e12, True],
+     "'calibrate.bracket[1]' must be a number, got True"),
+    ("calibrate", "target_ratio", 0.0, "'calibrate.target_ratio' must be positive"),
+    ("calibrate", "target_ratio", [2.0],
+     "'calibrate.target_ratio' must be a number, got [2.0]"),
+    ("calibrate", "target_ratio", float("nan"),
+     "'calibrate.target_ratio' must be finite, got nan"),
+    ("calibrate", "omega_a_on", -1.0, "'calibrate.omega_a_on' must be nonnegative"),
+    ("calibrate", "omega_a_on", {"value": -0.01, "unit": "eV"},
+     "'calibrate.omega_a_on' must be nonnegative"),
+    ("calibrate", "omega_a_on", "16e12",
+     "'calibrate.omega_a_on' must be a number, got '16e12'"),
+    ("calibrate", "omega_a_on", float("inf"),
+     "'calibrate.omega_a_on' must be finite, got inf"),
+    ("calibrate", "omega_a_on", {"value": 1.0, "unit": "Hz"},
+     "'calibrate.omega_a_on.unit' must be 'rad/s' or 'eV', got 'Hz'"),
+]
+
+
+class TestOptionMessages:
+    """Every option field's check, pinned message by message."""
+
+    def test_every_field_is_covered(self):
+        covered = {(section, key) for section, key, _, _ in OPTION_MESSAGES}
+        assert covered == {
+            (section, f.name)
+            for section, cls in (
+                ("trajectory", TrajectoryOptions), ("options", RunOptions),
+                ("threshold", ThresholdOptions), ("calibrate", CalibrateOptions),
+            )
+            for f in fields(cls)
+        }
+
+    @pytest.mark.parametrize(("section", "key", "value", "message"), OPTION_MESSAGES)
+    def test_message(self, section, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            build_config({section: {key: value}})
+        assert str(err.value) == message
+
+    def test_boundary_values_pass(self):
+        cfg = build_config({
+            "trajectory": {"t_end": 1e-300, "store_every": 1},
+            "options": {"tol": 5e-324, "seed_amplitude": 1, "workers": None},
+            "threshold": {"bracket": [5e-324, 1e-300]},
+            "calibrate": {"target_ratio": 1e-300, "omega_a_on": 0},
+        })
+        assert cfg.trajectory.store_every == 1 and cfg.options.workers is None
+        assert cfg.options.seed_amplitude == 1.0
+        assert isinstance(cfg.options.seed_amplitude, float)
+        assert cfg.threshold.bracket == (5e-324, 1e-300)
+        assert cfg.calibrate.omega_a_on == 0.0
 
 
 class TestResolvedConfig:

@@ -301,6 +301,14 @@ class TestIntegrator:
         with pytest.raises(InvalidStateError, match="amplitude"):
             integrate(s0, driven_params(), 1e-14)
 
+    @pytest.mark.parametrize("name", ["store_every", "max_steps"])
+    @pytest.mark.parametrize("value", [0, -3, 2.7, 2.0, math.nan, True, "2", None])
+    def test_rejects_a_count_that_is_not_an_int_of_at_least_one(self, name, value):
+        s0 = SpaserState(rho=DensityMatrix3.ground(), amplitude=1e-3 + 0j)
+        with pytest.raises(IntegrationError) as err:
+            integrate(s0, driven_params(), 1e-14, **{name: value})
+        assert str(err.value) == f"{name} must be an integer >= 1, got {value!r}"
+
     def test_rejects_invalid_initial_state(self):
         bad = SpaserState(rho=DensityMatrix3(p1=0.9, p2=0.0, p3=0.0))
         with pytest.raises(InvalidStateError):

@@ -1,6 +1,8 @@
 """Parameter containers, validation, and the complex coherence rates."""
 
 import math
+import sys
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import OMEGA_21, OMEGA_32, OMEGA_B_CALIBRATED, OMEGA_N, make_params
-from spaserkit.errors import ConfigError
+from spaserkit.config import build_config
+from spaserkit.errors import ConfigError, RegimeWarning
 from spaserkit.params import (
     DriveParams,
     FrameParams,
     GainParams,
+    ModelParams,
     PlasmonParams,
     complex_rates,
     default_params,
@@ -53,6 +57,76 @@ class TestValidation:
     def test_frame_far_from_transitions_warns(self):
         with pytest.warns(Warning, match="slowly-varying"):
             make_params(nu_ref=0.5 * OMEGA_21)
+
+    def test_frame_warning_points_at_the_line_that_set_the_frame(self, defaults):
+        far = FrameParams(nu_ref=2.3e15)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            set_line = sys._getframe().f_lineno + 1
+            set_param(defaults, "frame.nu_ref", 2.3e15)
+            build_line = sys._getframe().f_lineno + 1
+            ModelParams(defaults.gain, defaults.plasmon, defaults.drive, far)
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (RegimeWarning, __file__, line)
+            for line in (set_line, set_line, build_line, build_line)
+        ]
+
+
+#: Each parameter leaf's rule as its messages word it, and a value that
+#: breaks its bound (``inf`` for the unbounded detuning).
+LEAF_RULES = {
+    "gain.omega21": ("frequency > 0 rad/s", 0.0),
+    "gain.omega32": ("frequency > 0 rad/s", -1.0),
+    "gain.gamma21": ("rate >= 0 rad/s", -1.0),
+    "gain.gamma31": ("rate >= 0 rad/s", -1e-300),
+    "gain.gamma32": ("rate >= 0 rad/s", -1.0),
+    "gain.gamma_ph": ("rate >= 0 rad/s", -1),
+    "gain.pump_g": ("rate >= 0 rad/s", -8e12),
+    "plasmon.omega_n": ("frequency > 0 rad/s", 0),
+    "plasmon.gamma_n": ("rate > 0 rad/s", 0.0),
+    "plasmon.n_p": ("count >= 1", 0.5),
+    "plasmon.omega_b_single": ("coupling >= 0 rad/s", -1.0),
+    "drive.omega_a_rabi": ("rate >= 0 rad/s", -1.0),
+    "drive.delta_a": ("detuning", math.inf),
+    "frame.nu_ref": ("frequency > 0 rad/s", -math.inf),
+}
+
+
+class TestLeafMessages:
+    """The full message of every parameter leaf's check, through
+    :func:`set_param` and through the config file."""
+
+    def test_every_leaf_is_listed(self):
+        assert tuple(LEAF_RULES) == param_paths()
+
+    @pytest.mark.parametrize("path", list(LEAF_RULES))
+    @pytest.mark.parametrize("breaks", ["bound", "nan"])
+    def test_out_of_bound_and_nan(self, defaults, path, breaks):
+        rule, bad = LEAF_RULES[path]
+        value = bad if breaks == "bound" else math.nan
+        with pytest.raises(ConfigError) as err:
+            set_param(defaults, path, value)
+        assert str(err.value) == f"{path} must be a finite {rule}, got {value!r}"
+
+    @pytest.mark.parametrize("path", list(LEAF_RULES))
+    def test_config_file_prefixes_the_model_path(self, path):
+        rule, bad = LEAF_RULES[path]
+        group, leaf = path.split(".")
+        with pytest.raises(ConfigError) as err:
+            build_config({"model": {group: {leaf: bad}}})
+        if math.isfinite(bad):  # the config reader hands on a float
+            expected = f"model.{path}: {path} must be a finite {rule}, got {float(bad)!r}"
+        else:  # the config reader rejects it first
+            expected = f"'model.{path}' must be finite, got {bad!r}"
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("path", list(LEAF_RULES))
+    @pytest.mark.parametrize("value", ["x", None, True, False, 1j])
+    def test_non_numbers_and_bools_are_config_errors(self, defaults, path, value):
+        rule, _ = LEAF_RULES[path]
+        with pytest.raises(ConfigError) as err:
+            set_param(defaults, path, value)
+        assert str(err.value) == f"{path} must be a finite {rule}, got {value!r}"
 
 
 class TestDefaults:

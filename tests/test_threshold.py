@@ -158,6 +158,14 @@ class TestThresholdFind:
         with pytest.raises(NoThresholdError, match="invalid pump bracket"):
             threshold_find(defaults, g_bracket=(1e8, math.inf))
 
+    @pytest.mark.parametrize(
+        "bracket", [(1e8,), (1e8, 1e12, 1e15), (), 1e8, (1e8, "high")]
+    )
+    def test_bracket_that_is_not_two_numbers_rejected(self, defaults, bracket):
+        with pytest.raises(NoThresholdError) as err:
+            threshold_find(defaults, g_bracket=bracket)
+        assert str(err.value) == f"invalid pump bracket {bracket!r}"
+
     def test_root_lies_inside_the_bracket(self, defaults):
         res = threshold_find(defaults, g_bracket=(1e11, 1e14))
         assert 1e11 <= res.g_th <= 1e14
