@@ -17,6 +17,19 @@ weak-field background (that solve at A = 0) are all read off it.  The
 frame frequency nu enters only m, and linearly, so the steady-state
 Newton on (A, nu) builds the operator once and takes exact derivatives
 of that solve.
+
+Each per-point algorithm that needs dense linear algebra is written once,
+as a *lane*: a generator that runs the point's scalar code (seed ladder,
+damped Newton, root choice) and yields each block solve, eigenproblem
+and companion-matrix spectrum instead of calling NumPy.  ``_one_lane``
+answers a lane's requests one NumPy call each; that is how the public
+functions (``growth_rate``, ``spasing_frequency``,
+``steady_state_numeric``, ``weak_field_background``) run.  ``_run_lanes``
+runs many lanes together and answers the same-shaped requests of all
+live lanes with one stacked NumPy call.  A stacked LAPACK call gives
+each matrix the bits of its own call, so a lane's result does not
+depend on its company.  The command line runs each chunk of grid points
+this way; ``_LANES`` names the lane form of each public function.
 """
 
 from __future__ import annotations
@@ -44,7 +57,9 @@ from .errors import (
     RegimeWarning,
     SpaserError,
 )
-from .params import ComplexRates, ModelParams, complex_rates, set_param
+from .params import (
+    ComplexRates, ModelParams, _caller_stacklevel, _is_number, complex_rates, set_param,
+)
 from .state import DensityMatrix3, SpaserState
 
 __all__ = [
@@ -80,6 +95,117 @@ def _require_resonant_drive(params: ModelParams, what: str) -> None:
             f"{what} assumes a resonant drive; got drive.delta_a = "
             f"{params.drive.delta_a!r} rad/s"
         )
+
+
+# --- lanes: per-point algorithms whose linear algebra runs batched ------------
+# A lane yields requests ("solve", a, b), ("eig", a) or ("eigvals", a), each
+# answered by the result of the ``np.linalg`` function of that name (sent
+# back in) or by the LinAlgError it raised (thrown in), and returns its
+# result.  The function is looked up at call time, so a wrapper around it
+# sees every call.
+
+
+_LinAlgError = np.linalg.LinAlgError
+
+
+def _linalg(request):
+    """One request as its own NumPy call: the result, or the LinAlgError."""
+    kind, *args = request
+    try:
+        return getattr(np.linalg, kind)(*args)
+    except _LinAlgError as exc:
+        return exc
+
+
+def _split_spectra(w, v=None) -> list:
+    """A stacked spectrum, eigenvalues ``w`` and eigenvectors ``v`` (None
+    for eigenvalues only), split per matrix and typed as NumPy types one
+    matrix's: real where every eigenvalue of the matrix is real."""
+    real = (w.imag == 0.0).all(axis=-1) if w.dtype.kind == "c" else [True] * len(w)
+    if v is None:
+        return [wj.real if r else wj for wj, r in zip(w, real)]
+    return [(wj.real, vj.real) if r else (wj, vj) for wj, vj, r in zip(w, v, real)]
+
+
+def _stacked(requests) -> list:
+    """Answers to same-kind, same-shaped requests from one stacked NumPy call.
+
+    A stacked LAPACK call gives each matrix the bits of its own call.
+    When the stacked call raises LinAlgError (one singular block, say),
+    each request is retried on its own, so every lane gets its own result
+    or error."""
+    if len(requests) > 1:
+        kind = requests[0][0]
+        call = getattr(np.linalg, kind)
+        # concatenate and reshape: the same copy as np.stack, at a fraction
+        # of its call overhead
+        stacks = [np.concatenate(column).reshape(len(column), *column[0].shape)
+                  for column in list(zip(*requests))[1:]]
+        try:
+            if kind == "solve":
+                a, b = stacks
+                if b.ndim == 2:  # one right-hand-side vector per lane
+                    return list(call(a, b[..., None])[..., 0])
+                return list(call(a, b))
+            if kind == "eig":
+                return _split_spectra(*call(stacks[0]))
+            return _split_spectra(call(stacks[0]))
+        except _LinAlgError:
+            pass
+    return [_linalg(request) for request in requests]
+
+
+def _one_lane(lane):
+    """Run one lane to its result (each request is then its own NumPy
+    call); an error the lane raises propagates."""
+    (outcome,), _ = _run_lanes([lane])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _run_lanes(lanes, log: list | None = None) -> tuple[list, list[list]]:
+    """Run every lane to its end, answering the same-shaped requests of all
+    live lanes with one NumPy call per round (:func:`_stacked`).  Requests
+    are float64 arrays, grouped by kind and shapes.
+
+    Returns (outcomes, caught): per lane its result or the exception it
+    raised, and the entries of ``log`` (the list a
+    ``warnings.catch_warnings(record=True)`` block appends to) that
+    appeared while that lane ran, moved out of ``log``; empty lists
+    without a ``log``.
+    """
+    lanes = list(lanes)
+    outcomes: list = [None] * len(lanes)
+    caught: list[list] = [[] for _ in lanes]
+    answers = [(i, None) for i in range(len(lanes))]  # (lane, what to send it)
+    while answers:
+        groups: dict[tuple, tuple[list, list]] = {}
+        for i, answer in answers:
+            mark = 0 if log is None else len(log)
+            try:
+                if isinstance(answer, _LinAlgError):
+                    request = lanes[i].throw(answer)
+                else:
+                    request = lanes[i].send(answer)
+                # a square matrix and a right-hand side of its size: the
+                # last array's shape fixes every shape of the request
+                key = (request[0], request[-1].shape)
+                if key not in groups:
+                    groups[key] = ([], [])
+                members, requests = groups[key]
+                members.append(i)
+                requests.append(request)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:  # the lane's own error is its outcome
+                outcomes[i] = exc
+            if log is not None and len(log) > mark:
+                caught[i].extend(log[mark:])
+                del log[mark:]
+        answers = [pair for members, requests in groups.values()
+                   for pair in zip(members, _stacked(requests))]
+    return outcomes, caught
 
 
 # --- bracketed root finding --------------------------------------------------
@@ -214,13 +340,13 @@ def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
     return ClosedFormInversions(n21_bar=n21, n32_bar=n32)
 
 
-def _background_block(op) -> np.ndarray:
-    """Density-matrix coordinates of the a = 0 steady state of the reduced
-    operator ``op`` = (k, m, nr, ni): m x = -k on the first 8 rows and
-    columns."""
+def _background_block(op):
+    """Lane: the density-matrix coordinates of the a = 0 steady state of the
+    reduced operator ``op`` = (k, m, nr, ni), m x = -k on the first 8 rows
+    and columns."""
     k, m, _, _ = op
     try:
-        x = np.linalg.solve(m[:8, :8], -k[:8])
+        x = yield ("solve", m[:8, :8], -k[:8])
     except np.linalg.LinAlgError as exc:
         raise DegenerateParameterError(
             f"weak-field steady state undefined for these rates: {exc}"
@@ -228,6 +354,12 @@ def _background_block(op) -> np.ndarray:
     # the decoupled rho21/rho31 rows solve to -0.0, which tables would print
     # as -0; adding 0.0 turns it into 0.0
     return x + 0.0
+
+
+def _weak_field_lane(params: ModelParams):
+    """Lane form of :func:`weak_field_background`."""
+    x = yield from _background_block(_reduced_operator(_coeffs(params)))
+    return _unpack_reduced(np.append(x, (0.0, 0.0))).rho
 
 
 def weak_field_background(params: ModelParams) -> DensityMatrix3:
@@ -238,8 +370,7 @@ def weak_field_background(params: ModelParams) -> DensityMatrix3:
     detuned drive; the spasing-frame coherences rho21 and rho31 come out
     zero.
     """
-    x = _background_block(_reduced_operator(_coeffs(params)))
-    return _unpack_reduced(np.append(x, (0.0, 0.0))).rho
+    return _one_lane(_weak_field_lane(params))
 
 
 # --- spasing condition and frequency ----------------------------------------
@@ -320,10 +451,34 @@ def _frequency_estimate(
     return (alpha * gain.omega21 + weight * plasmon.omega_n) / denom
 
 
+def _roots_lane(p: np.ndarray):
+    """Lane: ``np.roots(p)`` for a float coefficient array, bit for bit.
+
+    As NumPy does, leading zero coefficients are dropped, each trailing
+    zero gives a root at 0 (appended last), and the other roots are the
+    eigenvalues of the companion matrix."""
+    nonzero = np.nonzero(p)[0]
+    if not nonzero.size:
+        return np.array([])
+    trailing = len(p) - nonzero[-1] - 1
+    p = p[int(nonzero[0]):int(nonzero[-1]) + 1]
+    roots = np.array([])
+    if len(p) > 1:
+        companion = np.diag(np.ones((len(p) - 2,), p.dtype), -1)
+        companion[0, :] = -p[1:] / p[0]
+        roots = yield ("eigvals", companion)
+    return np.hstack((roots, np.zeros(trailing, roots.dtype)))
+
+
 def _onset_frequency_roots(
     params: ModelParams, inv: ClosedFormInversions, rates: ComplexRates
 ) -> np.ndarray:
-    """Every real frequency at which the driven onset residual is real.
+    """:func:`_onset_roots_lane` run on its own."""
+    return _one_lane(_onset_roots_lane(params, inv, rates))
+
+
+def _onset_roots_lane(params: ModelParams, inv: ClosedFormInversions, rates: ComplexRates):
+    """Lane: every real frequency at which the driven onset residual is real.
 
     With delta = omega21 - nu the residual is N(delta) / D(delta), where
     D = Gamma_n Gamma21 Gamma31 and N are cubics, so Im residual = 0 is
@@ -354,7 +509,7 @@ def _onset_frequency_roots(
     num[2:] += coupling * inv.n21_bar * g31 - wa2 * gn
     num[3] += coupling * wa2 * inv.n32_bar / (rates.Gamma32.real / s)
     im_poly = np.convolve(num, den.conj()).imag[1:]
-    x = np.roots(im_poly)
+    x = yield from _roots_lane(im_poly)
     x = x.real[x.imag == 0.0]
     return np.sort(gain.omega21 - s * x)
 
@@ -372,6 +527,11 @@ def spasing_frequency(params: ModelParams) -> float:
     of hi - lo and growing fourfold up to six times.  Raises
     :class:`ConvergenceError` when no root lies in the widest window.
     """
+    return _one_lane(_frequency_lane(params))
+
+
+def _frequency_lane(params: ModelParams):
+    """Lane form of :func:`spasing_frequency`."""
     _require_resonant_drive(params, "the spasing frequency")
     gain = params.gain
     omega21 = gain.omega21
@@ -390,7 +550,7 @@ def spasing_frequency(params: ModelParams) -> float:
     except DegenerateParameterError:
         guess = 0.5 * (omega21 + omega_n)
 
-    roots = _onset_frequency_roots(params, inv, rates)
+    roots = yield from _onset_roots_lane(params, inv, rates)
     lo = min(omega21, omega_n)
     hi = max(omega21, omega_n)
     pad = 0.05 * (hi - lo)
@@ -481,11 +641,23 @@ class StabilityResult:
 
 def growth_rate(params: ModelParams) -> StabilityResult:
     """Linear growth rate of the plasmon field about the zero-field state."""
+    return _one_lane(_growth_lane(params))[0]
+
+
+def _growth_rate_lane(params: ModelParams):
+    """Lane form of :func:`growth_rate`."""
+    return (yield from _growth_lane(params))[0]
+
+
+def _growth_lane(params: ModelParams):
+    """Lane: the :func:`growth_rate` result, with the reduced operator in the
+    frame of ``params`` and the zero-field state x0 it linearizes about
+    (the zero branch of the steady state is that state)."""
     op = _reduced_operator(_coeffs(params))
-    x0 = np.append(_background_block(op), (0.0, 0.0))
+    x0 = np.append((yield from _background_block(op)), (0.0, 0.0))
     jac = _operator_jacobian(op, x0)
     try:
-        eigvals, eigvecs = np.linalg.eig(jac)
+        eigvals, eigvecs = yield ("eig", jac)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigen-decomposition failed: {exc}") from exc
     weights = np.abs(eigvecs[8, :]) + np.abs(eigvecs[9, :])
@@ -495,11 +667,12 @@ def growth_rate(params: ModelParams) -> StabilityResult:
     masked = np.where(mask, eigvals.real, -np.inf)
     leading = complex(eigvals[int(np.argmax(masked))])
     order = np.argsort(-eigvals.real)
-    return StabilityResult(
+    result = StabilityResult(
         eigenvalues=eigvals[order],
         gamma_s_over_gamma_n=leading.real / params.plasmon.gamma_n,
         leading=leading,
     )
+    return result, op, x0
 
 
 # --- threshold search ---------------------------------------------------------
@@ -529,15 +702,16 @@ class ThresholdResult:
 
 
 def _bracket_ends(bracket, error: type[SpaserError], what: str) -> tuple[float, float]:
-    """The two ends of ``bracket`` as floats with 0 < lo < hi < inf, else
+    """The two ends of ``bracket`` as floats: two numbers (each an ``int``
+    or a ``float``, never a ``bool``) with 0 < lo < hi < inf, else
     ``error("invalid <what> bracket ...")``."""
     try:
-        lo, hi = map(float, bracket)
+        lo, hi = bracket
     except (TypeError, ValueError):
         lo = hi = math.nan
-    if not 0.0 < lo < hi < math.inf:
+    if not (_is_number(lo) and _is_number(hi) and 0.0 < lo < hi < math.inf):
         raise error(f"invalid {what} bracket {bracket!r}")
-    return lo, hi
+    return float(lo), float(hi)
 
 
 def _growth_at_g(params: ModelParams, g: float) -> float:
@@ -677,19 +851,21 @@ def _rate_scale(params: ModelParams) -> float:
 
 
 def _gain_balance_block(params: ModelParams, nu0: float):
-    """(k, m, nr, dm, nd) for :func:`_gain_balance`: the density-matrix
+    """(-k, m, nr, dm, nd) for :func:`_gain_balance`: the density-matrix
     block of the reduced operator at nu0, with dm = gamma_n d m / d nu and
     nd = (nr, dm) stacked for the two Jacobian right-hand sides."""
     k, m, nr, _ = _reduced_operator(_coeffs(params, nu0))
     dm = params.plasmon.gamma_n * _REDUCED_OPERATOR_DNU[:8, :8]
-    nr = nr[:8, :8]
-    return k[:8], m[:8, :8], nr, dm, np.stack((nr, dm))
+    # contiguous copies of the blocks: every evaluation adds them up
+    m, nr = m[:8, :8].copy(), nr[:8, :8].copy()
+    return -k[:8], m, nr, dm, np.stack((nr, dm))
 
 
 def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shift: float):
-    """Gain mismatch at field amplitude A and frame nu0 + gamma_n * shift.
+    """Lane: the gain mismatch at field amplitude A and frame
+    nu0 + gamma_n * shift.
 
-    ``block`` = (k, m, nr, dm, nd) comes from :func:`_gain_balance_block`.
+    ``block`` = (-k, m, nr, dm, nd) comes from :func:`_gain_balance_block`.
     At (A, shift) the chromophore solves M rho = -k with
     M = m + A nr + shift dm, which is exact because nu enters the
     operator linearly.
@@ -701,14 +877,14 @@ def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shif
     leaves the spasing branch as a simple root.
 
     Returns (f, rho, jacobian): the mismatch as a pair of floats, the 8
-    density-matrix coordinates and a function giving the exact Jacobian
+    density-matrix coordinates and a lane giving the exact Jacobian
     ((df0/dA, df0/dshift), (df1/dA, df1/dshift)) at the same point, from
     d rho / dA = -M^-1 nr rho and d rho / dshift = -M^-1 dm rho.  That
     costs one more block solve, so callers ask for it only where needed.
     """
-    k, m, nr, dm, nd = block
+    neg_k, m, nr, dm, nd = block
     mat = m + amplitude * nr + shift * dm
-    rho = np.linalg.solve(mat, -k)
+    rho = yield ("solve", mat, neg_k)
     coupling = params.plasmon.n_p * params.plasmon.omega_b_single
     gamma_n = params.plasmon.gamma_n
     delta_n = params.plasmon.omega_n - (nu0 + gamma_n * shift)
@@ -718,8 +894,8 @@ def _gain_balance(params: ModelParams, block, nu0: float, amplitude: float, shif
         (-delta_n + coupling * r21 / amplitude) / gamma_n,
     )
 
-    def jacobian() -> tuple[tuple[float, float], tuple[float, float]]:
-        drho = np.linalg.solve(mat, -(nd @ rho).T).tolist()
+    def jacobian():
+        drho = (yield ("solve", mat, -(nd @ rho).T)).tolist()
         kappa = coupling / (gamma_n * amplitude)
         # delta_n falls by gamma_n per unit shift: the 1.0 in df1/dshift
         return (
@@ -738,10 +914,8 @@ _NEWTON_TOL = 1e-12
 _STALL_TOL = 1e-9
 
 
-def _spasing_newton(
-    params: ModelParams, amp0: float, nu0: float
-) -> tuple[float, float, np.ndarray] | None:
-    """Damped Newton on (amplitude, frame frequency); None on failure.
+def _spasing_newton(params: ModelParams, amp0: float, nu0: float):
+    """Lane: damped Newton on (amplitude, frame frequency); None on failure.
 
     Works on the scaled unknowns (A, (nu - nu0)/gamma_n), in which the
     gain balance is of order one in both.  The reduced operator is built
@@ -762,7 +936,7 @@ def _spasing_newton(
     u = 0.0
 
     try:
-        f, rho, jacobian = _gain_balance(params, block, nu0, amp, u)
+        f, rho, jacobian = yield from _gain_balance(params, block, nu0, amp, u)
     except np.linalg.LinAlgError:
         return None
     fn = max(abs(f[0]), abs(f[1]))
@@ -770,7 +944,7 @@ def _spasing_newton(
         if fn <= _NEWTON_TOL:
             break
         # the 2x2 Newton step J step = -f by Cramer's rule
-        (j00, j01), (j10, j11) = jacobian()
+        (j00, j01), (j10, j11) = yield from jacobian()
         det = j00 * j11 - j01 * j10
         if det == 0.0:
             return None
@@ -781,7 +955,7 @@ def _spasing_newton(
             amp_new = max(abs(amp + lam * step_amp), _AMP_FLOOR)
             u_new = u + lam * step_u
             try:
-                trial = _gain_balance(params, block, nu0, amp_new, u_new)
+                trial = yield from _gain_balance(params, block, nu0, amp_new, u_new)
             except np.linalg.LinAlgError:
                 lam *= 0.5
                 continue
@@ -837,9 +1011,14 @@ def _gauge_free_eigenvalues(op, x: np.ndarray) -> np.ndarray:
     A search for the pump where that first fails (the self-pulsing Hopf
     threshold) should follow the largest real part of this spectrum.
     """
+    return _one_lane(_gauge_free_lane(op, x))
+
+
+def _gauge_free_lane(op, x: np.ndarray):
+    """Lane form of :func:`_gauge_free_eigenvalues`."""
     jac = _operator_jacobian(op, x)
     gauge = np.array([0.0, 0.0, -x[3], x[2], -x[5], x[4], 0.0, 0.0, 0.0])
-    return np.linalg.eigvals(jac[:9, :9] - np.outer(gauge, jac[9, :9]) / x[8])
+    return (yield ("eigvals", jac[:9, :9] - np.outer(gauge, jac[9, :9]) / x[8]))
 
 
 def _seed_amplitudes(candidates: list[float]):
@@ -882,16 +1061,21 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
     (:class:`BookkeepingWarning`) when a spasing point without inversion
     has no more excited than ground population.
     """
-    stab = growth_rate(params)
+    return _one_lane(_steady_lane(params))
+
+
+def _steady_lane(params: ModelParams):
+    """Lane form of :func:`steady_state_numeric`; its warning names the first
+    line outside this module, the caller's."""
+    stab, op, x0 = yield from _growth_lane(params)
     try:
-        nu_s = spasing_frequency(params)
+        nu_s = yield from _frequency_lane(params)
     except _NO_SPASING_FREQUENCY:
         nu_s = math.nan
     if stab.gamma_s <= 0.0:
-        # the background and its residual, from one operator in the frame of params
-        op = _reduced_operator(_coeffs(params))
-        x = np.append(_background_block(op), (0.0, 0.0))
-        return _steady_result(params, x, op, nu_s, True, "zero")
+        # the background and its residual, from the operator in the frame of
+        # params that the growth rate was read off
+        return _steady_result(params, x0, op, nu_s, True, "zero")
 
     plasmon = params.plasmon
     nu0 = params.gain.omega21 if math.isnan(nu_s) else nu_s
@@ -902,13 +1086,14 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
                   1.0, 100.0, 1e-2, 1e-4,
                   plasmon.n_p * stab.gamma_s / (4.0 * plasmon.gamma_n)]
     for amp0 in _seed_amplitudes(candidates):
-        root = _spasing_newton(params, amp0, nu0)
+        root = yield from _spasing_newton(params, amp0, nu0)
         if root is None:
             continue
         amp, nu_s, rho = root
         x = np.append(rho, (amp, 0.0))
         op = _reduced_operator(_coeffs(params, nu_s))
-        stable = not bool(np.any(_gauge_free_eigenvalues(op, x).real > 0.0))
+        spectrum = yield from _gauge_free_lane(op, x)
+        stable = not bool(np.any(spectrum.real > 0.0))
         result = _steady_result(params, x, op, nu_s, stable, "spasing")
         rho = result.rho_ss
         if result.n_n > 1e-9 and result.n21 < 0.0 and not (rho.p2 + rho.p3 > rho.p1):
@@ -917,13 +1102,24 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
                 f"population does not exceed the ground population (p1={rho.p1!r}, "
                 f"p2={rho.p2!r}, p3={rho.p3!r})",
                 BookkeepingWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(__name__),
             )
         return result
 
     raise ConvergenceError(
         "Newton iteration on the fixed-point system failed from every seed"
     )
+
+
+#: The lane form of each public function that a grid point of the command
+#: line calls: the same arguments, warnings and result, its linear algebra
+#: yielded (see ``_run_lanes``).
+_LANES = {
+    weak_field_background: _weak_field_lane,
+    spasing_frequency: _frequency_lane,
+    growth_rate: _growth_rate_lane,
+    steady_state_numeric: _steady_lane,
+}
 
 
 # --- analytic saturation limits -----------------------------------------------
@@ -1064,6 +1260,8 @@ def calibrate_coupling(
     curve when neither exists inside the bracket, and without a curve
     for a target that is not finite and > 0 or ("invalid coupling
     bracket") a bracket that is not two numbers with 0 < lo < hi < inf.
+    ``omega_a_on`` goes to the drive leaf as it is, so a value that leaf
+    rejects (a ``bool`` or a string, say) raises its :class:`ConfigError`.
 
     Each coupling's pair of thresholds (drive off, drive on) is found
     once per call, two :func:`threshold_find` calls, or one when the
@@ -1075,7 +1273,7 @@ def calibrate_coupling(
     lo, hi = _bracket_ends(bracket, CalibrationError, "coupling")
 
     off = set_param(params, "drive.omega_a_rabi", 0.0)
-    on = set_param(params, "drive.omega_a_rabi", float(omega_a_on))
+    on = set_param(params, "drive.omega_a_rabi", omega_a_on)
     # coupling -> (drive off, drive on) thresholds, None where either is missing
     thresholds: dict[float, tuple[float, float] | None] = {}
 

@@ -20,13 +20,21 @@ For ``threshold``, only a missing threshold (``NoThresholdError``) is a
 sentinel: its NaN row exits 0.  Any other error at a point, such as a
 swept value the model rejects, also writes the NaN row but exits 2.
 
-Grid points (for ``trajectory``, its axis values) are evaluated by
-independent workers sharing only the immutable config.  The worker that
-computes a point also renders its rows in the output format
-(``tables.render_row``), so the calling process only collects the lines
-and the ``failed at`` messages in lexicographic axis order and writes
-them: output is bit-identical regardless of worker count.  Warnings
-raised inside a pool worker are printed by that worker.
+Grid points (for ``trajectory``, its axis values) are cut, in
+lexicographic axis order, into chunks of max(1, n // (4 workers)), and a
+pool of workers, sharing only the immutable config, takes one chunk at a
+time (``_chunk``).  A chunk's points run as lanes
+(``analysis._run_lanes``): each point runs its own scalar code, and the
+block solves and spectra of all the chunk's points go to NumPy as one
+stacked call per round, which gives each point the bits it would get
+alone.  ``steady-sweep`` and ``stability`` points do all their linear
+algebra this way; the root finding of ``threshold`` and the time
+stepping of ``trajectory`` run one point after another.  The worker
+also renders each point's rows in the output format
+(``tables.render_row``) and records the warnings the point raised.  The calling process collects the lines, the ``failed at``
+messages and the warnings in axis order, prints each warning message once
+with the file and line that raised it, and writes the lines: output and
+stderr are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -35,13 +43,16 @@ import argparse
 import itertools
 import math
 import sys
-from collections.abc import Callable
+import warnings
+from collections.abc import Callable, Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
+    _LANES,
+    _run_lanes,
     calibrate_coupling,
     frame_at_spasing_frequency,
     growth_rate,
@@ -58,44 +69,67 @@ from .tables import SweepTable, build_metadata, render_row, write_table
 
 __all__ = ["entry_point", "main"]
 
-def _map_points(worker, tasks, n_workers: int) -> list:
-    if n_workers <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    workers = min(n_workers, len(tasks))
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
+def _map_chunks(tasks: list, n_workers: int) -> list:
+    """``_chunk`` over the tasks cut into chunks of max(1, n // (4 workers))
+    points, in a pool of ``n_workers`` processes (in this one for a single
+    worker or a single task); the points' outcomes in task order."""
+    workers = max(1, min(n_workers, len(tasks)))
+    size = max(1, len(tasks) // (4 * workers))
+    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    if workers == 1:
+        done = [_chunk(chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_chunk, chunks))
+    return [outcome for chunk in done for outcome in chunk]
 
 
 # --- what one grid point computes ---------------------------------------------
-# Each returns the point's rows (sequences of cells) without their axis
-# columns.  They call the analysis layer through this module's globals,
-# which a tracer may patch.
+# Each is a lane (see ``analysis._run_lanes``) that returns the point's rows
+# (sequences of cells) without their axis columns.  They call the analysis
+# layer through this module's globals, which a tracer may patch, and
+# through ``_lane``.
 
 
-def _steady(params: ModelParams, config: RunConfig) -> list:
-    res = steady_state_numeric(params)
+def _lane(fn, *args) -> Generator:
+    """``fn(*args)`` as a lane for a grid point to ``yield from``.  A function
+    with a lane form (``analysis._LANES``) runs as that lane, so its linear
+    algebra is stacked with the other points' of the chunk.  Any other
+    function, or a name replaced by a wrapper (a tracer's, say), is called
+    once per point, so the wrapper sees every point."""
+    form = _LANES.get(fn)
+    return _called(fn, *args) if form is None else form(*args)
+
+
+def _called(fn, *args) -> Generator:
+    """A lane with no requests: the result of ``fn(*args)``."""
+    yield from ()
+    return fn(*args)
+
+
+def _steady(params: ModelParams, config: RunConfig) -> Generator:
+    res = yield from _lane(steady_state_numeric, params)
     # a point that fails raises, and its row is ``failed``
     return [(res.n_n, res.n21, res.n32, res.nu_s, True)]
 
 
-def _threshold(params: ModelParams, config: RunConfig) -> list:
-    res = threshold_find(params, config.threshold.bracket)
+def _threshold(params: ModelParams, config: RunConfig) -> Generator:
+    res = yield from _lane(threshold_find, params, config.threshold.bracket)
     growth = math.nan if res.g_th_growth is None else res.g_th_growth
     return [(res.g_th, growth, res.nu_s)]
 
 
-def _stability(params: ModelParams, config: RunConfig) -> list:
+def _stability(params: ModelParams, config: RunConfig) -> Generator:
     if config.frame_auto:
-        params = frame_at_spasing_frequency(params)
-    res = growth_rate(params)
+        params = yield from _lane(frame_at_spasing_frequency, params)
+    res = yield from _lane(growth_rate, params)
     return [(res.gamma_s, res.gamma_s_over_gamma_n, res.leading.real, res.leading.imag)]
 
 
-def _trajectory(params: ModelParams, config: RunConfig) -> list:
+def _trajectory(params: ModelParams, config: RunConfig) -> Generator:
     if config.frame_auto:
-        params = frame_at_spasing_frequency(params)
-    rho = weak_field_background(params)
+        params = yield from _lane(frame_at_spasing_frequency, params)
+    rho = yield from _lane(weak_field_background, params)
     state0 = SpaserState(rho=rho, amplitude=complex(config.options.seed_amplitude, 0.0))
     rel_tol = min(max(config.options.tol * 1e-2, 1e-12), 1e-6)
     traj = integrate(
@@ -111,10 +145,10 @@ def _trajectory(params: ModelParams, config: RunConfig) -> list:
 class _Grid:
     """One grid command.
 
-    ``compute(params, config)`` gives the rows of one point and ``columns``
-    their names and units.  Each row starts with the swept values; the
-    parameters of ``lead`` (path, column name) come after the other axes,
-    swept or not.  ``axes`` is the (min, max) number of sweep axes, and
+    ``compute(params, config)`` is the lane that gives the rows of one
+    point, and ``columns`` their names and units.  Each row starts with
+    the swept values; the parameters of ``lead`` (path, column name) come
+    after the other axes, swept or not.  ``axes`` is the (min, max) number of sweep axes, and
     the only statement of that rule: ``_run_grid`` words its error from it.
     A point that raises a :class:`SpaserError` becomes the row ``failed``
     or, when that is None, a ``<command> failed at`` line on stderr; it
@@ -122,7 +156,7 @@ class _Grid:
     """
 
     help: str
-    compute: Callable[[ModelParams, RunConfig], list]
+    compute: Callable[[ModelParams, RunConfig], Generator]
     columns: tuple[tuple[str, str], ...]
     axes: tuple[int, int]
     failed: tuple | None
@@ -169,10 +203,9 @@ _GRIDS = {
 }
 
 
-def _point(task) -> tuple[list[str], str | None]:
-    """Rows of one grid point, rendered in ``fmt``, and the message of the
-    error that stopped it (None if none did, or if it is a sentinel)."""
-    command, config, values, fmt = task
+def _point(command: str, config: RunConfig, values: tuple, fmt: str) -> Generator:
+    """Lane: the rows of one grid point, rendered in ``fmt``, and the message
+    of the error that stopped it (None if none did, or if it is a sentinel)."""
     grid = _GRIDS[command]
     lead = dict(grid.lead)
     swept = dict(zip((axis.path for axis in config.axes), values))
@@ -183,11 +216,28 @@ def _point(task) -> tuple[list[str], str | None]:
         params = config.model
         for path, value in swept.items():
             params = set_param(params, path, float(value))
-        rows = grid.compute(params, config)
+        rows = yield from grid.compute(params, config)
         return [render_row(head + tuple(cells), fmt) for cells in rows], None
     except SpaserError as exc:
         rows = [] if grid.failed is None else [render_row(head + grid.failed, fmt)]
         return rows, (None if isinstance(exc, grid.sentinel) else str(exc))
+
+
+def _chunk(tasks: list) -> list:
+    """One chunk of grid points run as lanes together
+    (``analysis._run_lanes``): per point its rendered rows, its error
+    message and the warnings it raised, as (message, category, file,
+    line).  An error that is not a :class:`SpaserError` stops the run."""
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        outcomes, caught = _run_lanes((_point(*task) for task in tasks), log)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [
+        (rows, error, [(str(w.message), w.category, w.filename, w.lineno) for w in ws])
+        for (rows, error), ws in zip(outcomes, caught)
+    ]
 
 
 def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bool]:
@@ -200,12 +250,17 @@ def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bo
         raise ConfigError(f"{command} {rule} sweep ax{'is' if most == 1 else 'es'}")
     points = list(itertools.product(*(axis.values for axis in config.axes)))
     tasks = [(command, config, values, fmt) for values in points]
-    results = _map_points(_point, tasks, config.resolved_workers())
+    results = _map_chunks(tasks, config.resolved_workers())
     paths = [axis.path for axis in config.axes]
     rows: list[str] = []
     partial = False
-    for values, (point_rows, error) in zip(points, results):
+    shown: set[tuple] = set()
+    for values, (point_rows, error, caught) in zip(points, results):
         rows.extend(point_rows)
+        for message, category, filename, lineno in caught:
+            if (category, message) not in shown:
+                shown.add((category, message))
+                warnings.warn_explicit(message, category, filename, lineno)
         if error is not None:
             partial = True
             if grid.failed is None:

@@ -52,7 +52,9 @@ from functools import partial
 from itertools import groupby
 
 from .errors import ConfigError
-from .params import ModelParams, default_params, param_paths, param_unit, set_param
+from .params import (
+    ModelParams, _is_number, default_params, param_paths, param_unit, set_param,
+)
 from .units import ev_to_angular
 
 __all__ = [
@@ -90,7 +92,7 @@ class SweepAxis:
 # --- value parsers: each reads one config leaf at its dotted path ---------
 
 def _number(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
+    if not _is_number(node):
         raise ConfigError(f"'{path}' must be a number, got {node!r}")
     value = float(node)
     if not math.isfinite(value):

@@ -53,6 +53,12 @@ __all__ = [
 ]
 
 
+def _is_number(value) -> bool:
+    """The type rule of every numeric input: an ``int`` or a ``float``,
+    never a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _leaf(noun: str, bound: float = -math.inf, *, strict: bool = False,
           unit: str = "rad/s", **default):
     """A parameter field and its rule: a finite real number (an ``int`` or
@@ -72,8 +78,7 @@ class _Group:
         for name, path, (bound, strict, wording) in _LEAVES[type(self)]:
             value = getattr(self, name)
             if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
+                not _is_number(value)
                 or not math.isfinite(value)
                 or value < bound
                 or (strict and value == bound)
@@ -136,12 +141,11 @@ class FrameParams(_Group):
     nu_ref: float = _leaf("frequency", 0, strict=True)
 
 
-def _caller_stacklevel() -> int:
+def _caller_stacklevel(*inside: str) -> int:
     """The ``stacklevel``, seen from the function that calls this one, of
-    the first frame outside this module and the dataclass machinery (the
-    generated ``__init__`` and :func:`dataclasses.replace`)."""
+    the first frame outside the modules named ``inside``."""
     level, frame = 1, sys._getframe(1)
-    while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+    while frame.f_globals.get("__name__") in inside:
         level, frame = level + 1, frame.f_back
     return level
 
@@ -166,7 +170,9 @@ class ModelParams:
                     f"frame frequency nu_ref = {self.frame.nu_ref:.3e} rad/s; the "
                     "slowly-varying-envelope treatment is dubious here",
                     RegimeWarning,
-                    stacklevel=_caller_stacklevel(),
+                    # past this module and the dataclass machinery (the
+                    # generated __init__ and dataclasses.replace)
+                    stacklevel=_caller_stacklevel(__name__, "dataclasses"),
                 )
 
     @property

@@ -10,7 +10,7 @@ import pytest
 from helpers import OMEGA_B_CALIBRATED, make_params
 from spaserkit import analysis
 from spaserkit.analysis import calibrate_coupling, threshold_find
-from spaserkit.errors import CalibrationError
+from spaserkit.errors import CalibrationError, ConfigError
 from spaserkit.params import default_params, set_param
 
 
@@ -97,6 +97,24 @@ def test_bracket_that_is_not_two_numbers_rejected(defaults, bracket):
     with pytest.raises(CalibrationError) as err:
         calibrate_coupling(defaults, bracket=bracket)
     assert str(err.value) == f"invalid coupling bracket {bracket!r}"
+
+
+@pytest.mark.parametrize("bracket", [(True, 1e14), ("1e12", "1e14")])
+def test_bracket_ends_follow_the_number_rule(defaults, bracket):
+    with pytest.raises(CalibrationError) as err:
+        calibrate_coupling(defaults, bracket=bracket)
+    assert str(err.value) == f"invalid coupling bracket {bracket!r}"
+
+
+@pytest.mark.parametrize("omega_a_on", [True, "16e12"])
+def test_reference_drive_follows_the_leaf_rule(defaults, omega_a_on):
+    """The reference drive goes to the drive leaf as given, so a bool or a
+    numeric string gets that leaf's message before any threshold is run."""
+    with pytest.raises(ConfigError) as err:
+        calibrate_coupling(defaults, omega_a_on=omega_a_on)
+    assert str(err.value) == (
+        f"drive.omega_a_rabi must be a finite rate >= 0 rad/s, got {omega_a_on!r}"
+    )
 
 
 def test_infinite_bracket_end_rejected(defaults):

@@ -492,6 +492,27 @@ class TestStability:
         assert runs[0][0] == 0
         assert len(data_lines("\n".join(runs[0][1]))) > 10
 
+    def test_point_warnings_print_the_same_for_any_worker_count(self, tmp_path):
+        """A frame far from the transitions warns at every point.  Each
+        point's warnings travel with its rows, and the calling process
+        prints each message once, in axis order, at the line that raised
+        it: stderr does not depend on the worker count."""
+        cfg = write_config(tmp_path, {
+            "model": {"frame": {"nu_ref": 2.3e15}},
+            "sweep": [{"path": "gain.pump_g", "values": [4.4e12, 8e12]}],
+        })
+        runs = run_at_workers(cfg, "stability")
+        assert runs[0] == runs[1]
+        code, _, err = runs[0]
+        assert code == 0
+        raised = [line for line in err.splitlines() if "RegimeWarning" in line]
+        # the config's model warns for delta_b and delta_n in the calling
+        # process, and the points' two messages are printed once
+        assert len(raised) == 4
+        files = [os.path.basename(line.split(": RegimeWarning")[0].rsplit(":", 1)[0])
+                 for line in raised]
+        assert files == ["config.py", "config.py", "cli.py", "cli.py"]
+
     def test_invalid_points_are_nan_rows_after_the_other_axes(self, tmp_path):
         """Other axes come first, then omega_a and pump_g (swept or not);
         a point the model rejects keeps its raw swept values."""

@@ -28,6 +28,16 @@ from spaserkit.state import DensityMatrix3, SpaserState, observables
 from spaserkit.tables import read_csv
 
 
+def newton_stub(fn):
+    """A stand-in for the ``_spasing_newton`` lane: it yields no request and
+    returns ``fn(*args)``."""
+    def lane(*args):
+        yield from ()
+        return fn(*args)
+
+    return lane
+
+
 class TestZeroBranch:
     def test_below_threshold_field_is_exactly_zero(self):
         res = steady_state_numeric(default_params(pump_g=1e12))
@@ -206,7 +216,8 @@ class TestBookkeepingWarning:
         p = default_params(pump_g=8e12)
         rho = np.array([0.6, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         nu = spasing_frequency(p)
-        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: (amp, nu, rho))
+        stub = newton_stub(lambda *args: (amp, nu, rho))
+        monkeypatch.setattr(analysis, "_spasing_newton", stub)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = steady_state_numeric(p)
@@ -232,7 +243,8 @@ class TestNewtonDerivatives:
         """Central differences of the mismatch with the steps the solver
         used before it had exact derivatives."""
         def f(a, u):
-            return np.array(analysis._gain_balance(params, block, nu0, a, u)[0])
+            lane = analysis._gain_balance(params, block, nu0, a, u)
+            return np.array(analysis._one_lane(lane)[0])
 
         d_amp, d_u = 1e-6 * (1.0 + amp), 1e-6
         return np.column_stack((
@@ -252,10 +264,11 @@ class TestNewtonDerivatives:
         nu0 = spasing_frequency(p)
         block = analysis._gain_balance_block(p, nu0)
         for amp, shift in ((1e-2, 0.0), (1e-2, 3e-3), (4.0, -1e-2), (6.0, 0.0)):
-            _, _, jacobian = analysis._gain_balance(p, block, nu0, amp, shift)
+            lane = analysis._gain_balance(p, block, nu0, amp, shift)
+            _, _, jacobian = analysis._one_lane(lane)
             ref = self.central_difference_jacobian(p, block, nu0, amp, shift)
             np.testing.assert_array_less(
-                np.abs(np.array(jacobian()) - ref),
+                np.abs(np.array(analysis._one_lane(jacobian())) - ref),
                 1e-6 * np.abs(ref) + 1e-8 * np.abs(ref).max(axis=0),
                 err_msg=f"A={amp}, shift={shift}",
             )
@@ -267,10 +280,10 @@ class TestNewtonDerivatives:
         nu0 = spasing_frequency(p)
         shift = 2.5e-3
         nu1 = nu0 + p.plasmon.gamma_n * shift
-        f0, rho0, _ = analysis._gain_balance(
-            p, analysis._gain_balance_block(p, nu0), nu0, 3.0, shift)
-        f1, rho1, _ = analysis._gain_balance(
-            p, analysis._gain_balance_block(p, nu1), nu1, 3.0, 0.0)
+        f0, rho0, _ = analysis._one_lane(analysis._gain_balance(
+            p, analysis._gain_balance_block(p, nu0), nu0, 3.0, shift))
+        f1, rho1, _ = analysis._one_lane(analysis._gain_balance(
+            p, analysis._gain_balance_block(p, nu1), nu1, 3.0, 0.0))
         np.testing.assert_allclose(rho0, rho1, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(f0, f1, rtol=1e-9, atol=1e-12)
 
@@ -284,7 +297,7 @@ def preset_pass():
     newton, gain_balance = analysis._spasing_newton, analysis._gain_balance
 
     def counted_newton(*args):
-        root = newton(*args)
+        root = yield from newton(*args)
         work["calls"] += 1
         work["failures"] += root is None
         return root
@@ -384,7 +397,7 @@ class TestSeedOrder:
     def seeds(monkeypatch, params):
         tried = []
         monkeypatch.setattr(
-            analysis, "_spasing_newton", lambda p, amp0, nu0: tried.append(amp0)
+            analysis, "_spasing_newton", newton_stub(lambda p, amp0, nu0: tried.append(amp0))
         )
         with pytest.raises(ConvergenceError):
             steady_state_numeric(params)
@@ -448,7 +461,7 @@ class TestNewtonOnly:
 
     @pytest.fixture
     def no_newton(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_spasing_newton", lambda *args: None)
+        monkeypatch.setattr(analysis, "_spasing_newton", newton_stub(lambda *args: None))
 
     def test_newton_failure_raises_without_a_warning(self, no_newton):
         with warnings.catch_warnings(record=True) as caught:

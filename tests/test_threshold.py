@@ -166,6 +166,13 @@ class TestThresholdFind:
             threshold_find(defaults, g_bracket=bracket)
         assert str(err.value) == f"invalid pump bracket {bracket!r}"
 
+    @pytest.mark.parametrize("bracket", [(True, 1e15), ("1e8", "1e15"), (1e8, False)])
+    def test_bracket_ends_follow_the_number_rule(self, defaults, bracket):
+        """Each end is an int or a float, never a bool or a numeric string."""
+        with pytest.raises(NoThresholdError) as err:
+            threshold_find(defaults, g_bracket=bracket)
+        assert str(err.value) == f"invalid pump bracket {bracket!r}"
+
     def test_root_lies_inside_the_bracket(self, defaults):
         res = threshold_find(defaults, g_bracket=(1e11, 1e14))
         assert 1e11 <= res.g_th <= 1e14
