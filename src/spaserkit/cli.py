@@ -30,11 +30,12 @@ stacked call per round, which gives each point the bits it would get
 alone.  ``steady-sweep`` and ``stability`` points do all their linear
 algebra this way; the root finding of ``threshold`` and the time
 stepping of ``trajectory`` run one point after another.  The worker
-also renders each point's rows in the output format
-(``tables.render_row``) and records the warnings the point raised.  The calling process collects the lines, the ``failed at``
-messages and the warnings in axis order, prints each warning message once
-with the file and line that raised it, and writes the lines: output and
-stderr are the same for any worker count.
+also renders each point's rows in the output format, the point's axis
+cells written once for all of them (``tables.render_rows``), and records
+the warnings the point raised.  The calling process collects the lines,
+the ``failed at`` messages and the warnings in axis order, prints each
+warning message once with the file and line that raised it, and writes
+the lines: output and stderr are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .dynamics import integrate
 from .errors import CalibrationError, ConfigError, NoThresholdError, SpaserError
 from .params import ModelParams, get_param, param_unit, set_param
 from .state import SpaserState
-from .tables import SweepTable, build_metadata, render_row, write_table
+from .tables import SweepTable, build_metadata, render_rows, write_table
 
 __all__ = ["entry_point", "main"]
 
@@ -217,10 +218,11 @@ def _point(command: str, config: RunConfig, values: tuple, fmt: str) -> Generato
         for path, value in swept.items():
             params = set_param(params, path, float(value))
         rows = yield from grid.compute(params, config)
-        return [render_row(head + tuple(cells), fmt) for cells in rows], None
+        return render_rows(head, rows, fmt), None
     except SpaserError as exc:
-        rows = [] if grid.failed is None else [render_row(head + grid.failed, fmt)]
-        return rows, (None if isinstance(exc, grid.sentinel) else str(exc))
+        rows = () if grid.failed is None else (grid.failed,)
+        error = None if isinstance(exc, grid.sentinel) else str(exc)
+        return render_rows(head, rows, fmt), error
 
 
 def _chunk(tasks: list) -> list:

@@ -16,7 +16,9 @@ PI step-size controller.  The plasmon loss rate is usually the fastest
 scale, so the default step cap is ``0.1 / gamma_n``.  One step,
 ``_dp5_step``, is generated from the tableau at import as straight-line
 code, component by component (``_DP5_STEP_SOURCE``); it calls ``_rhs``
-for each stage, so the equations still live only there.
+for each stage, so the equations still live only there.  Its error norm
+and the step loop's clamps are comparisons that follow the rule of
+builtin ``abs``, ``min`` and ``max``, bit for bit, without their calls.
 """
 
 from __future__ import annotations
@@ -258,7 +260,9 @@ def _dp5_step_source() -> str:
     takes the weights ``_Bj`` the same way, and ``err`` is the RMS over the
     components of ``h * (_E1 * k1_i + ...) / (atol + rtol * max(|y_i|, |ynew_i|))``,
     summed in component order; a non-finite ``ynew`` gives ``err = inf``.
-    ``_rhs`` is looked up in the module at call time.
+    So ``y`` and ``ynew`` are finite in the norm, where each magnitude and
+    their max are comparisons that give the bits of ``abs`` and ``max``
+    without a call.  ``_rhs`` is looked up in the module at call time.
     """
     comps = range(_N_COMPONENTS)
 
@@ -287,11 +291,16 @@ def _dp5_step_source() -> str:
         f"    {names('k7_{i}')} = k7",
         f"    {names('n{i}')} = ynew",
     ]
+    # |y_i| and |n_i| as comparisons (0.0 - keeps a zero's magnitude
+    # positive), and their max by builtin max's rule: the first unless the
+    # second is strictly greater
     error = _tableau_row("_E", 7)
-    lines += [
-        f"    r{i} = h * ({combination(error, i)}) / (atol + rtol * max(abs(y{i}), abs(n{i})))"
-        for i in comps
-    ]
+    for i in comps:
+        lines += [
+            f"    a{i} = y{i} if y{i} > 0.0 else 0.0 - y{i}",
+            f"    b{i} = n{i} if n{i} > 0.0 else 0.0 - n{i}",
+            f"    r{i} = h * ({combination(error, i)}) / (atol + rtol * (b{i} if b{i} > a{i} else a{i}))",
+        ]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
     lines.append(f"    return ynew, k7, math.sqrt(({squares}) / {_N_COMPONENTS})")
     return "\n".join(lines) + "\n"
@@ -470,8 +479,15 @@ def integrate(
                 f"step budget of {max_steps} exhausted at t = {t:.6e} s "
                 f"(t_end = {t_end:.6e} s)",
             )
-        h = min(h, max_step, t_end - t)
-        is_last = h >= t_end - t
+        # the clamps below are builtin min's and max's rule written as
+        # comparisons, which the step loop pays for without a call: the
+        # first argument, unless a later one is strictly smaller (greater)
+        rest = t_end - t
+        if max_step < h:
+            h = max_step
+        if rest < h:
+            h = rest
+        is_last = h >= rest
         if not h >= h_floor:  # a NaN step (non-finite start-up RHS) stops here too
             _fail(
                 StiffnessError,
@@ -488,13 +504,16 @@ def integrate(
             k1 = k7
             n_accepted += 1
 
-            tr_err = abs(y[0] + y[1] + y[2] - 1.0)
-            if tr_err > _TRACE_TOL:
+            p1 = y[0]
+            p2 = y[1]
+            p3 = y[2]
+            drift = p1 + p2 + p3 - 1.0
+            if drift > _TRACE_TOL or -drift > _TRACE_TOL:
                 _fail(
                     TraceDriftError,
-                    f"trace drift {tr_err:.3e} exceeds {_TRACE_TOL:.3e} at t = {t:.6e} s",
+                    f"trace drift {abs(drift):.3e} exceeds {_TRACE_TOL:.3e} at t = {t:.6e} s",
                 )
-            if not (p_lo <= y[0] <= p_hi and p_lo <= y[1] <= p_hi and p_lo <= y[2] <= p_hi):
+            if not (p_lo <= p1 <= p_hi and p_lo <= p2 <= p_hi and p_lo <= p3 <= p_hi):
                 p = next(p for p in y[:3] if not p_lo <= p <= p_hi)
                 _fail(
                     IntegrationError,
@@ -510,17 +529,23 @@ def integrate(
             else:
                 fac11 = err ** _EXPO1
                 fac = fac11 / (facold ** _BETA)
-                fac = max(0.1, min(5.0, fac / _SAFETY))
-            if just_rejected:
-                fac = max(fac, 1.0)  # no growth right after a rejection
+                fac = fac / _SAFETY
+                # max(0.1, min(5.0, fac))
+                if not fac < 5.0:
+                    fac = 5.0
+                elif not fac > 0.1:
+                    fac = 0.1
+            if just_rejected and fac < 1.0:
+                fac = 1.0  # max(fac, 1.0): no growth right after a rejection
             h = h / fac
-            facold = max(err, 1e-4)
+            facold = 1e-4 if 1e-4 > err else err  # max(err, 1e-4)
             just_rejected = False
         else:
             n_rejected += 1
             just_rejected = True
             if math.isfinite(err):
-                h = h / min(5.0, (err ** _EXPO1) / _SAFETY)
+                shrink = (err ** _EXPO1) / _SAFETY
+                h = h / (shrink if shrink < 5.0 else 5.0)  # min(5.0, shrink)
             else:
                 h = 0.25 * h
 

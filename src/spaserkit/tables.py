@@ -11,12 +11,16 @@ row's text exactly as the whole document carries it.  A table row may
 therefore be a tuple of cells or a line ``render_row`` already made: the
 CLI renders each grid point's rows in the worker that computed them and
 hands the lines to :func:`write_table`, which writes them as they are.
+The rows of one grid point share their axis cells; :func:`render_rows`
+writes that shared text once and joins it to each row's, so its lines
+are ``render_row``'s, byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +35,7 @@ __all__ = [
     "write_table",
     "render_csv",
     "render_row",
+    "render_rows",
     "render_json",
     "read_csv",
     "read_json",
@@ -111,6 +116,10 @@ def _float_row(ncells: int) -> str:
     return ",".join(["%.17g"] * ncells) + "\n"
 
 
+# the text of a JSON row before its first cell, between two cells, after its last
+_JSON_OPEN, _JSON_SEP, _JSON_CLOSE = "  [\n   ", ",\n   ", "\n  ]"
+
+
 def render_row(cells, fmt: str) -> str:
     """One data row, exactly as the table renderers write it.
 
@@ -126,8 +135,34 @@ def render_row(cells, fmt: str) -> str:
     if fmt == "json":
         if not cells:
             return "  []"
-        return "  [\n   " + ",\n   ".join(map(_json_cell, cells)) + "\n  ]"
+        return _JSON_OPEN + _JSON_SEP.join(map(_json_cell, cells)) + _JSON_CLOSE
     raise ConfigError(f"unknown output format {fmt!r}")
+
+
+def render_rows(head: tuple, rows, fmt: str) -> list[str]:
+    """``[render_row(head + tuple(row), fmt) for row in rows]`` for a
+    sequence of rows that share their first cells ``head`` (a grid
+    point's axis values), with the text of ``head`` made once.
+
+    Each line is the text ``render_row`` makes of ``head`` joined to the
+    text it makes of the row, so a cell is still written by its one rule.
+    When the rows all have one nonzero length and only ``float`` cells, a
+    CSV line is one ``%`` on a template that already holds ``head``.
+    """
+    if not head:
+        return [render_row(row, fmt) for row in rows]
+    alone = render_row(head, fmt)  # the line of an empty row
+    if fmt == "csv":
+        lead, skip = alone[:-1] + ",", 0
+        width = len(rows[0]) if rows else 0
+        if width and {width} == {*map(len, rows)} and {float}.issuperset(
+            map(type, itertools.chain.from_iterable(rows))
+        ):
+            template = lead.replace("%", "%%") + _float_row(width)
+            return [template % tuple(row) for row in rows]
+    else:
+        lead, skip = alone[: -len(_JSON_CLOSE)] + _JSON_SEP, len(_JSON_OPEN)
+    return [lead + render_row(row, fmt)[skip:] if row else alone for row in rows]
 
 
 def _rendered(rows, fmt: str):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line sweep tool."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -61,7 +62,33 @@ def run_at_workers(cfg, command, *flags):
     return runs
 
 
+# a short build-up at two drives with every step stored; the packaging
+# smoke in .github/workflows/tier1.yml runs the same config
+SHORT_TRAJECTORY = {
+    "model": {"gain": {"pump_g": 8e12, "gamma_ph": 0.0}},
+    "sweep": [{"path": "drive.omega_a_rabi", "values": [4e12, 24e12]}],
+    "trajectory": {"t_end": {"value": 0.02, "unit": "ps"}, "store_every": 1},
+}
+
+
 class TestTrajectory:
+    # sha256 of the SHORT_TRAJECTORY table without its timestamp line; the
+    # metadata, the generator's version included, is part of these bytes
+    SHORT_TABLE_SHA256 = {
+        "csv": "fc1e192fb57320fe92c0cc518dd4c515aa9c191673a7fe3629e5615b03b986ed",
+        "json": "91e590f29afe849aff4e4f2305cce6a1050116141ab321827995074e6fb362af",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_table_bytes_are_pinned(self, tmp_path, capsys, fmt):
+        cfg = write_config(tmp_path, SHORT_TRAJECTORY)
+        for workers in ("1", "2"):
+            argv = ["trajectory", "--config", cfg, "--format", fmt, "--workers", workers]
+            assert entry_point(argv) == 0
+            text = strip_timestamp(capsys.readouterr().out)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == self.SHORT_TABLE_SHA256[fmt], workers
+
     def test_relaxes_onto_the_algebraic_operating_point(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -435,14 +435,18 @@ class TestGeneratedStep:
         "_E1", "_E3", "_E4", "_E5", "_E6", "_E7",
     )
 
-    def test_matches_the_loop_form_on_random_steps(self):
-        rng = np.random.default_rng(20121)
-        coeffs = [
+    @staticmethod
+    def coeff_sets():
+        return [
             _coeffs(p) for p in (
                 driven_params(), make_params(omega_a_rabi=0.0, pump_g=2e13),
                 default_params(pump_g=8e12, omega_a_rabi=4e12, gamma_ph=1e16),
             )
         ]
+
+    def test_matches_the_loop_form_on_random_steps(self):
+        rng = np.random.default_rng(20121)
+        coeffs = self.coeff_sets()
         for n in range(10_000):
             y = rng.normal(size=11) * 10.0 ** rng.uniform(-12.0, 1.0, size=11)
             kind = rng.integers(0, 8, size=11)
@@ -457,6 +461,49 @@ class TestGeneratedStep:
             assert _step_bits(dynamics._dp5_step(y, k1, h, c, rtol, atol)) == _step_bits(
                 _loop_form_step(y, k1, h, c, rtol, atol)
             ), (y, h)
+
+    def test_a_subnormal_step_ties_every_magnitude(self):
+        """At h = 5e-324 every increment is lost, so ynew == y and each
+        |y_i| ties |ynew_i|: the norm's max must keep what builtin max
+        keeps on a tie."""
+        rng = np.random.default_rng(20122)
+        coeffs = self.coeff_sets()
+        for n in range(2_000):
+            y = rng.normal(size=11) * 10.0 ** rng.uniform(-12.0, 1.0, size=11)
+            y = tuple(y.tolist())
+            c = coeffs[n % 3]
+            k1 = dynamics._rhs(y, c)
+            new = dynamics._dp5_step(y, k1, 5e-324, c, 1e-8, 1e-10)
+            assert tuple(new[0]) == y
+            assert _step_bits(new) == _step_bits(
+                _loop_form_step(y, k1, 5e-324, c, 1e-8, 1e-10)
+            ), y
+
+    def test_signed_zeros(self):
+        """Components at +-0.0 whose increments vanish at h = 5e-324 give
+        the pairs (y_i, ynew_i) = (-0.0, 0.0), (-0.0, -0.0) and (0.0, 0.0);
+        the norm must read each zero's magnitude as abs does."""
+        rng = np.random.default_rng(20123)
+        coeffs = self.coeff_sets()
+        pairs = set()
+        for n in range(2_000):
+            y = rng.normal(size=11) * 10.0 ** rng.uniform(-12.0, 1.0, size=11)
+            kind = rng.integers(0, 3, size=11)
+            y[kind == 0] = 0.0
+            y[kind == 1] = -0.0
+            y = tuple(y.tolist())
+            c = coeffs[n % 3]
+            k1 = dynamics._rhs(y, c)
+            for h in (5e-324, 1e-16):
+                new = dynamics._dp5_step(y, k1, h, c, 1e-8, 1e-10)
+                assert _step_bits(new) == _step_bits(
+                    _loop_form_step(y, k1, h, c, 1e-8, 1e-10)
+                ), (y, h)
+                pairs.update(
+                    (math.copysign(1.0, a), math.copysign(1.0, b))
+                    for a, b in zip(y, new[0]) if a == b == 0.0
+                )
+        assert pairs == {(-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)}
 
     @pytest.mark.parametrize("stage", range(1, 8))
     def test_a_nan_stage_gives_the_same_error(self, monkeypatch, stage):
@@ -512,6 +559,36 @@ class TestFrozenTrajectory:
         assert (traj.n_accepted, traj.n_rejected, traj.n_rhs_evals) == (1895, 26, 11528)
         assert len(traj) == 1896
         assert tuple(float(v).hex() for v in traj.y[-1]) == self.FINAL
+
+    # the same build-up at drive 24e12 to 0.05 ps, at rel_tol 1e-4, where the
+    # default cap 0.1 / gamma_n, not the error, sets most steps
+    CAP_BOUND_FINAL = (
+        "0x1.5219f451ce129p-2", "0x1.3445d205132e4p-2", "0x1.79a039a91ebf0p-2",
+        "0x1.b75c4634e40f4p-16", "-0x1.37937a3dbc92bp-10",
+        "-0x1.831bd5c65f626p-4", "-0x1.1fe4f98109777p-10",
+        "0x1.24d46aa15e85ap-14", "0x1.5d28046005c1cp-4",
+        "-0x1.1b5f23574ee97p+0", "-0x1.b4fb43c8a58e6p-6",
+    )
+
+    def test_cap_bound_counts_and_final_state(self, monkeypatch):
+        p = frame_at_spasing_frequency(
+            default_params(pump_g=8e12, omega_a_rabi=24e12, gamma_ph=0.0)
+        )
+        s0 = SpaserState(rho=weak_field_background(p), amplitude=complex(1e-3, 0.0))
+        steps = []
+        step = dynamics._dp5_step
+
+        def recording(y, k1, h, *args):
+            steps.append(h)
+            return step(y, k1, h, *args)
+
+        monkeypatch.setattr(dynamics, "_dp5_step", recording)
+        traj = integrate(s0, p, 0.05e-12, rel_tol=1e-4, abs_tol=1e-6)
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs_evals) == (269, 3, 1634)
+        assert len(traj) == 270
+        assert tuple(float(v).hex() for v in traj.y[-1]) == self.CAP_BOUND_FINAL
+        # the regime: the cap binds on 243 of the 272 steps
+        assert steps.count(0.1 / p.plasmon.gamma_n) == 243 and len(steps) == 272
 
     def test_thinned_rows_are_the_dense_rows(self):
         thin = self.run(store_every=7)

@@ -24,6 +24,7 @@ from spaserkit.tables import (
     render_csv,
     render_json,
     render_row,
+    render_rows,
     write_table,
 )
 
@@ -218,6 +219,40 @@ class TestRowByRowRendering:
             render_row((0.5,), "parquet")
 
 
+# rows of mixed cells, or of plain floats of one width (the CSV template's case)
+POINT_ROWS = st.one_of(
+    st.lists(st.lists(CELLS, max_size=5), max_size=6),
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.floats(), min_size=n, max_size=n), max_size=6)
+    ),
+)
+
+
+class TestPointRows:
+    """``render_rows`` writes the shared axis cells of a grid point's rows
+    once; each line must be ``render_row`` of the whole row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.lists(CELLS, max_size=3).map(tuple), rows=POINT_ROWS)
+    @example(head=(), rows=[])
+    @example(head=(0.5,), rows=[])
+    @example(head=(), rows=[[], [0.5, True]])
+    @example(head=(4e12,), rows=[[], [0.25, 0.5]])
+    @example(head=(4e12, math.nan), rows=[[0.25, math.inf], [-0.0, 5e-324]])
+    @example(head=("100%",), rows=[[0.5, math.nan], [1.5, 2.5]])
+    @example(head=(True, 2, np.float64(0.1)), rows=[[0.5], [1.5]])
+    @example(head=(0.5,), rows=[[math.nan] * 3, [0.1, 0.2]])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lines_are_render_row_of_the_whole_row(self, fmt, head, rows):
+        assert render_rows(head, rows, fmt) == [
+            render_row(head + tuple(row), fmt) for row in rows
+        ]
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError):
+            render_rows((0.5,), [(0.5,)], "parquet")
+
+
 class TestJson:
     def test_nan_becomes_null(self):
         payload = json.loads(render_json(sample_table()))
@@ -338,7 +373,9 @@ class TestCliTablesMatchTheOracle:
 
         # the same run with its cells left as they are, for the oracle
         tables_seen = []
-        monkeypatch.setattr(cli, "render_row", lambda cells, fmt: tuple(cells))
+        monkeypatch.setattr(
+            cli, "render_rows", lambda head, rows, fmt: [head + tuple(r) for r in rows]
+        )
         monkeypatch.setattr(
             cli, "write_table", lambda table, path, fmt: tables_seen.append(table) or ""
         )
