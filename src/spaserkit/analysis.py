@@ -22,18 +22,21 @@ Each per-point algorithm that needs dense linear algebra is written once,
 as a *lane*: a generator that runs the point's scalar code (seed ladder,
 damped Newton, root choice) and yields each block solve, eigenproblem
 and companion-matrix spectrum instead of calling NumPy.  ``_one_lane``
-answers a lane's requests one NumPy call each; that is how the public
-functions (``growth_rate``, ``spasing_frequency``,
-``steady_state_numeric``, ``weak_field_background``) run.  ``_run_lanes``
-runs many lanes together and answers the same-shaped requests of all
-live lanes with one stacked NumPy call.  A stacked LAPACK call gives
-each matrix the bits of its own call, so a lane's result does not
-depend on its company.  The command line runs each chunk of grid points
-this way; ``_LANES`` names the lane form of each public function.
+answers a lane's requests one NumPy call each.  A public function that
+is one such algorithm (``growth_rate``, ``spasing_frequency``,
+``steady_state_numeric``, ``weak_field_background``) is its lane,
+decorated by ``_lane_function``: calling it runs the lane through
+``_one_lane``, and its ``.lane`` attribute is the lane itself.
+``_run_lanes`` runs many lanes together and answers the same-shaped
+requests of all live lanes with one stacked NumPy call.  A stacked
+LAPACK call gives each matrix the bits of its own call, so a lane's
+result does not depend on its company.  The command line runs each
+chunk of grid points this way, through each function's ``.lane``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -162,6 +165,21 @@ def _one_lane(lane):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _lane_function(lane):
+    """The public function of the lane function ``lane``: the same name,
+    docstring, signature and arguments, run through :func:`_one_lane`.  Its
+    ``.lane`` is ``lane``.  A lane that runs another public function's lane
+    reaches it through a private name bound at import, never through the
+    public name, which a wrapper (a tracer's, say) may replace."""
+
+    @functools.wraps(lane)
+    def function(*args, **kwargs):
+        return _one_lane(lane(*args, **kwargs))
+
+    function.lane = lane
+    return function
 
 
 def _run_lanes(lanes, log: list | None = None) -> tuple[list, list[list]]:
@@ -356,12 +374,7 @@ def _background_block(op):
     return x + 0.0
 
 
-def _weak_field_lane(params: ModelParams):
-    """Lane form of :func:`weak_field_background`."""
-    x = yield from _background_block(_reduced_operator(_coeffs(params)))
-    return _unpack_reduced(np.append(x, (0.0, 0.0))).rho
-
-
+@_lane_function
 def weak_field_background(params: ModelParams) -> DensityMatrix3:
     """Steady state of the chromophore with the plasmon field held at zero.
 
@@ -370,7 +383,8 @@ def weak_field_background(params: ModelParams) -> DensityMatrix3:
     detuned drive; the spasing-frame coherences rho21 and rho31 come out
     zero.
     """
-    return _one_lane(_weak_field_lane(params))
+    x = yield from _background_block(_reduced_operator(_coeffs(params)))
+    return _unpack_reduced(np.append(x, (0.0, 0.0))).rho
 
 
 # --- spasing condition and frequency ----------------------------------------
@@ -470,13 +484,6 @@ def _roots_lane(p: np.ndarray):
     return np.hstack((roots, np.zeros(trailing, roots.dtype)))
 
 
-def _onset_frequency_roots(
-    params: ModelParams, inv: ClosedFormInversions, rates: ComplexRates
-) -> np.ndarray:
-    """:func:`_onset_roots_lane` run on its own."""
-    return _one_lane(_onset_roots_lane(params, inv, rates))
-
-
 def _onset_roots_lane(params: ModelParams, inv: ClosedFormInversions, rates: ComplexRates):
     """Lane: every real frequency at which the driven onset residual is real.
 
@@ -514,24 +521,20 @@ def _onset_roots_lane(params: ModelParams, inv: ClosedFormInversions, rates: Com
     return np.sort(gain.omega21 - s * x)
 
 
+@_lane_function
 def spasing_frequency(params: ModelParams) -> float:
     """Self-consistent spasing frequency.
 
     Returns the frequency at which the onset-balance residual is purely
     real.  At zero drive this has the closed weighted-mean form.  With a
     drive, the real roots of Im residual = 0 come from a quintic
-    (:func:`_onset_frequency_roots`), and the choice among them is: the
+    (:func:`_onset_roots_lane`), and the choice among them is: the
     root nearest :func:`spasing_frequency_estimate` inside the window
     [lo - pad, hi + pad] around the frequency-pulling interval [lo, hi]
     between the mode and transition frequencies, with pad starting at 5%
     of hi - lo and growing fourfold up to six times.  Raises
     :class:`ConvergenceError` when no root lies in the widest window.
     """
-    return _one_lane(_frequency_lane(params))
-
-
-def _frequency_lane(params: ModelParams):
-    """Lane form of :func:`spasing_frequency`."""
     _require_resonant_drive(params, "the spasing frequency")
     gain = params.gain
     omega21 = gain.omega21
@@ -563,6 +566,9 @@ def _frequency_lane(params: ModelParams):
         "no spasing frequency found: the residual's imaginary part does not "
         "vanish near the frequency-pulling interval"
     )
+
+
+_frequency_lane = spasing_frequency.lane
 
 
 def frame_at_spasing_frequency(params: ModelParams) -> ModelParams:
@@ -639,13 +645,9 @@ class StabilityResult:
         return self.leading.real
 
 
+@_lane_function
 def growth_rate(params: ModelParams) -> StabilityResult:
     """Linear growth rate of the plasmon field about the zero-field state."""
-    return _one_lane(_growth_lane(params))[0]
-
-
-def _growth_rate_lane(params: ModelParams):
-    """Lane form of :func:`growth_rate`."""
     return (yield from _growth_lane(params))[0]
 
 
@@ -996,10 +998,10 @@ def _steady_result(
     )
 
 
-def _gauge_free_eigenvalues(op, x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the reduced Jacobian at the spasing fixed point ``x``
-    (Im a = 0, A = Re a > 0) less its gauge zero, for the reduced operator
-    ``op`` in the frame of the point.
+def _gauge_free_lane(op, x: np.ndarray):
+    """Lane: the eigenvalues of the reduced Jacobian at the spasing fixed
+    point ``x`` (Im a = 0, A = Re a > 0) less its gauge zero, for the
+    reduced operator ``op`` in the frame of the point.
 
     A global phase turns rho21, rho31 and a together, so the Jacobian J
     maps its generator g = (0, 0, -x3, x2, -x5, x4, 0, 0, 0, A) to zero.
@@ -1011,11 +1013,6 @@ def _gauge_free_eigenvalues(op, x: np.ndarray) -> np.ndarray:
     A search for the pump where that first fails (the self-pulsing Hopf
     threshold) should follow the largest real part of this spectrum.
     """
-    return _one_lane(_gauge_free_lane(op, x))
-
-
-def _gauge_free_lane(op, x: np.ndarray):
-    """Lane form of :func:`_gauge_free_eigenvalues`."""
     jac = _operator_jacobian(op, x)
     gauge = np.array([0.0, 0.0, -x[3], x[2], -x[5], x[4], 0.0, 0.0, 0.0])
     return (yield ("eigvals", jac[:9, :9] - np.outer(gauge, jac[9, :9]) / x[8]))
@@ -1037,6 +1034,7 @@ def _seed_amplitudes(candidates: list[float]):
                     yield amp
 
 
+@_lane_function
 def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
     """Self-consistent operating point of the coupled system.
 
@@ -1056,17 +1054,12 @@ def steady_state_numeric(params: ModelParams) -> SteadyStateResult:
     the root by orders of magnitude.  A zero-branch result is ``stable``;
     a spasing one is when no eigenvalue of the reduced Jacobian at the
     root has a positive real part, its gauge zero removed exactly
-    (:func:`_gauge_free_eigenvalues`), not by a tolerance.  Raises
+    (:func:`_gauge_free_lane`), not by a tolerance.  Raises
     :class:`ConvergenceError` when Newton fails from every seed.  Warns
     (:class:`BookkeepingWarning`) when a spasing point without inversion
-    has no more excited than ground population.
+    has no more excited than ground population; the warning names the
+    first line outside this module, the caller's.
     """
-    return _one_lane(_steady_lane(params))
-
-
-def _steady_lane(params: ModelParams):
-    """Lane form of :func:`steady_state_numeric`; its warning names the first
-    line outside this module, the caller's."""
     stab, op, x0 = yield from _growth_lane(params)
     try:
         nu_s = yield from _frequency_lane(params)
@@ -1109,17 +1102,6 @@ def _steady_lane(params: ModelParams):
     raise ConvergenceError(
         "Newton iteration on the fixed-point system failed from every seed"
     )
-
-
-#: The lane form of each public function that a grid point of the command
-#: line calls: the same arguments, warnings and result, its linear algebra
-#: yielded (see ``_run_lanes``).
-_LANES = {
-    weak_field_background: _weak_field_lane,
-    spasing_frequency: _frequency_lane,
-    growth_rate: _growth_rate_lane,
-    steady_state_numeric: _steady_lane,
-}
 
 
 # --- analytic saturation limits -----------------------------------------------

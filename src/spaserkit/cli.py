@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    _LANES,
     _run_lanes,
     calibrate_coupling,
     frame_at_spasing_frequency,
@@ -94,18 +93,14 @@ def _map_chunks(tasks: list, n_workers: int) -> list:
 
 def _lane(fn, *args) -> Generator:
     """``fn(*args)`` as a lane for a grid point to ``yield from``.  A function
-    with a lane form (``analysis._LANES``) runs as that lane, so its linear
-    algebra is stacked with the other points' of the chunk.  Any other
-    function, or a name replaced by a wrapper (a tracer's, say), is called
-    once per point, so the wrapper sees every point."""
-    form = _LANES.get(fn)
-    return _called(fn, *args) if form is None else form(*args)
-
-
-def _called(fn, *args) -> Generator:
-    """A lane with no requests: the result of ``fn(*args)``."""
-    yield from ()
-    return fn(*args)
+    with a ``.lane`` (see ``analysis._lane_function``) runs as that lane, so
+    its linear algebra is stacked with the other points' of the chunk.  Any
+    other function, or a name replaced by a wrapper (a tracer's, say), is
+    called once per point, so the wrapper sees every point."""
+    lane = getattr(fn, "lane", None)
+    if lane is None:
+        return fn(*args)
+    return (yield from lane(*args))
 
 
 def _steady(params: ModelParams, config: RunConfig) -> Generator:

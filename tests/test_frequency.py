@@ -6,7 +6,8 @@ import pytest
 
 from helpers import OMEGA_21, OMEGA_N, make_params
 from spaserkit.analysis import (
-    _onset_frequency_roots,
+    _one_lane,
+    _onset_roots_lane,
     frame_at_spasing_frequency,
     spasing_condition_residual,
     spasing_frequency,
@@ -73,9 +74,9 @@ class TestDrivenFrequency:
         window around the pulling interval, and the one nearest the
         weighted-mean estimate is the spasing frequency."""
         p = set_param(default_params(omega_a_rabi=1e12), "gain.pump_g", 3162277660168.3794)
-        roots = _onset_frequency_roots(
+        roots = _one_lane(_onset_roots_lane(
             p, steady_inversions_closed_form(p), complex_rates(p)
-        )
+        ))
         assert len(roots) == 3
         for nu in roots:
             below = spasing_condition_residual(p, nu - 1e3).imag

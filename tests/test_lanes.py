@@ -70,15 +70,19 @@ def random_sets():
     return sets
 
 
-@pytest.mark.parametrize("form", sorted(analysis._LANES, key=lambda f: f.__name__),
-                         ids=lambda f: f.__name__)
+# the public functions that are lanes, each with its lane as ``.lane``
+LANE_FUNCTIONS = (analysis.growth_rate, analysis.spasing_frequency,
+                  analysis.steady_state_numeric, analysis.weak_field_background)
+
+
+@pytest.mark.parametrize("form", LANE_FUNCTIONS, ids=lambda f: f.__name__)
 def test_chunks_of_lanes_equal_one_lane_calls(random_sets, form):
     """Chunks of 40 sets run as lanes: every result equals the one-lane call
     bit for bit, dtype included, and every error matches in type and
     message.  The steady-state chunks hold the 25 sets where Newton fails
     from every seed, and the degenerate sets, whose singular block solve
     sends their chunk through the per-request fallback."""
-    lane = analysis._LANES[form]
+    lane = form.lane
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -108,12 +112,12 @@ def test_a_singular_block_falls_back_per_request(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    outcomes, _ = analysis._run_lanes([analysis._steady_lane(p) for p in chunk])
+    outcomes, _ = analysis._run_lanes([analysis.steady_state_numeric.lane(p) for p in chunk])
     # the first round: one stacked call of four blocks, then four single ones
     assert solves[:5] == [(4, 8, 8)] + [(8, 8)] * 4
     error = outcomes[1]
     assert isinstance(error, DegenerateParameterError)
-    assert str(error) == str(one_lane(analysis._steady_lane(DEGENERATE[0])))
+    assert str(error) == str(one_lane(analysis.steady_state_numeric.lane(DEGENERATE[0])))
     for p, outcome in zip(good, outcomes[:1] + outcomes[2:]):
         assert bits(outcome) == bits(analysis.steady_state_numeric(p))
 
@@ -173,7 +177,7 @@ def test_a_chunk_stacks_its_block_solves(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    outcomes, _ = analysis._run_lanes([analysis._steady_lane(p) for p in points])
+    outcomes, _ = analysis._run_lanes([analysis.steady_state_numeric.lane(p) for p in points])
     assert all(o.branch == "spasing" for o in outcomes)
     assert len(calls) < len(points)
     calls.clear()
