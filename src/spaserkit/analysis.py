@@ -100,6 +100,17 @@ def _require_resonant_drive(params: ModelParams, what: str) -> None:
         )
 
 
+def _square(value: float, name: str) -> float:
+    """``value ** 2``, or :class:`DegenerateParameterError` where the square
+    is too large for a float (Python's float power raises OverflowError)."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise DegenerateParameterError(
+            f"{name} = {value!r} is too large to square"
+        ) from None
+
+
 # --- lanes: per-point algorithms whose linear algebra runs batched ------------
 # A lane yields requests ("solve", a, b), ("eig", a) or ("eigvals", a), each
 # answered by the result of the ``np.linalg`` function of that name (sent
@@ -343,7 +354,7 @@ def steady_inversions_closed_form(params: ModelParams) -> ClosedFormInversions:
     g = gain.pump_g
     g21, g31, g32 = gain.gamma21, gain.gamma31, gain.gamma32
     gamma32_tilde = complex_rates(params).Gamma32.real
-    wa2 = params.drive.omega_a_rabi ** 2
+    wa2 = _square(params.drive.omega_a_rabi, "drive.omega_a_rabi")
     m_inv = gamma32_tilde * (g * (g21 + g32) + g21 * (g31 + g32)) + 2.0 * (
         2.0 * g + g21 + g31
     ) * wa2
@@ -406,8 +417,9 @@ def spasing_condition_residual(params: ModelParams, nu_s: float) -> complex:
         raise DegenerateParameterError(
             "spasing condition undefined: Gamma21 vanishes"
         )
-    wa2 = params.drive.omega_a_rabi ** 2
-    coupling = params.plasmon.n_p * params.plasmon.omega_b_single ** 2
+    wa2 = _square(params.drive.omega_a_rabi, "drive.omega_a_rabi")
+    coupling = params.plasmon.n_p * _square(
+        params.plasmon.omega_b_single, "plasmon.omega_b_single")
     term = complex(inv.n21_bar)
     drive_loss = 0j
     if wa2 != 0.0:
@@ -444,13 +456,13 @@ def _frequency_estimate(
     gamma21_t = rates.Gamma21.real
     gamma31_t = rates.Gamma31.real
     gamma32_t = rates.Gamma32.real
-    wa2 = params.drive.omega_a_rabi ** 2
+    wa2 = _square(params.drive.omega_a_rabi, "drive.omega_a_rabi")
     if wa2 != 0.0 and (gamma31_t == 0.0 or gamma32_t == 0.0):
         raise DegenerateParameterError(
             "spasing-frequency estimate undefined: a coherence relaxation "
             "rate vanishes with a nonzero drive"
         )
-    coupling = plasmon.n_p * plasmon.omega_b_single ** 2
+    coupling = plasmon.n_p * _square(plasmon.omega_b_single, "plasmon.omega_b_single")
     if wa2 == 0.0:
         alpha = plasmon.gamma_n * gamma31_t
     else:
@@ -470,7 +482,9 @@ def _roots_lane(p: np.ndarray):
 
     As NumPy does, leading zero coefficients are dropped, each trailing
     zero gives a root at 0 (appended last), and the other roots are the
-    eigenvalues of the companion matrix."""
+    eigenvalues of the companion matrix; where NumPy finds none (a
+    non-finite companion matrix, say) it raises
+    :class:`DegenerateParameterError`."""
     nonzero = np.nonzero(p)[0]
     if not nonzero.size:
         return np.array([])
@@ -480,7 +494,10 @@ def _roots_lane(p: np.ndarray):
     if len(p) > 1:
         companion = np.diag(np.ones((len(p) - 2,), p.dtype), -1)
         companion[0, :] = -p[1:] / p[0]
-        roots = yield ("eigvals", companion)
+        try:
+            roots = yield ("eigvals", companion)
+        except _LinAlgError as exc:  # a non-finite companion matrix, say
+            raise DegenerateParameterError(f"polynomial roots undefined: {exc}") from exc
     return np.hstack((roots, np.zeros(trailing, roots.dtype)))
 
 
@@ -509,8 +526,10 @@ def _onset_roots_lane(params: ModelParams, inv: ClosedFormInversions, rates: Com
     g21 = np.array([1j, rates.Gamma21.real / s])
     g31 = np.array([1j, rates.Gamma31.real / s])
     gn = np.array([1j, complex(plasmon.gamma_n / s, -detuning / s)])
-    wa2 = (params.drive.omega_a_rabi / s) ** 2
-    coupling = plasmon.n_p * (plasmon.omega_b_single / s) ** 2
+    wa2 = _square(
+        params.drive.omega_a_rabi / s, "drive.omega_a_rabi / |omega21 - omega_n|")
+    coupling = plasmon.n_p * _square(
+        plasmon.omega_b_single / s, "plasmon.omega_b_single / |omega21 - omega_n|")
     den = np.convolve(np.convolve(gn, g21), g31)
     num = -den
     num[2:] += coupling * inv.n21_bar * g31 - wa2 * gn
@@ -533,7 +552,9 @@ def spasing_frequency(params: ModelParams) -> float:
     [lo - pad, hi + pad] around the frequency-pulling interval [lo, hi]
     between the mode and transition frequencies, with pad starting at 5%
     of hi - lo and growing fourfold up to six times.  Raises
-    :class:`ConvergenceError` when no root lies in the widest window.
+    :class:`ConvergenceError` when no root lies in the widest window, and
+    :class:`DegenerateParameterError` where the frequency is not a finite
+    number (a weighted mean or a polynomial coefficient that overflows).
     """
     _require_resonant_drive(params, "the spasing frequency")
     gain = params.gain
@@ -544,7 +565,12 @@ def spasing_frequency(params: ModelParams) -> float:
     if params.drive.omega_a_rabi == 0.0:
         gamma21_t = complex_rates(params).Gamma21.real
         gamma_n = params.plasmon.gamma_n
-        return (gamma_n * omega21 + gamma21_t * omega_n) / (gamma_n + gamma21_t)
+        nu = (gamma_n * omega21 + gamma21_t * omega_n) / (gamma_n + gamma21_t)
+        if not math.isfinite(nu):  # the weighted sum overflows: no frequency
+            raise DegenerateParameterError(
+                f"spasing frequency undefined: the linewidth-weighted mean is {nu!r}"
+            )
+        return nu
 
     inv = steady_inversions_closed_form(params)
     rates = complex_rates(params)
@@ -633,6 +659,9 @@ class StabilityResult:
     ``leading`` is the eigenvalue of largest real part over modes
     carrying plasmon-amplitude weight; its real part, the property
     ``gamma_s``, is the exponential growth (or decay) rate of the field.
+    Of a conjugate pair it is the member whose mode is the amplitude's own,
+    a ~ exp(leading t), so the mode oscillates at the frequency
+    nu_ref - Im(leading) in any frame nu_ref.
     """
 
     eigenvalues: np.ndarray
@@ -667,7 +696,14 @@ def _growth_lane(params: ModelParams):
     if not mask.any():
         raise ConvergenceError("no eigenmode carries plasmon-amplitude weight")
     masked = np.where(mask, eigvals.real, -np.inf)
-    leading = complex(eigvals[int(np.argmax(masked))])
+    lead = int(np.argmax(masked))
+    leading = complex(eigvals[lead])
+    # the linearization is complex-linear in (rho21, rho31, a), so each mode
+    # comes with its conjugate; the field's own mode has (Re a, Im a)
+    # along (1, -i), and the conjugate member's eigenvector is conj(v)
+    v8, v9 = eigvecs[8, lead], eigvecs[9, lead]
+    if abs(v9 - 1j * v8) < abs(v9 + 1j * v8):
+        leading = leading.conjugate()
     order = np.argsort(-eigvals.real)
     result = StabilityResult(
         eigenvalues=eigvals[order],
@@ -1234,8 +1270,9 @@ def calibrate_coupling(
     bracket.  When the sampled ratio curve crosses the target inside the
     bracket, the first crossing scanning up in coupling is returned,
     refined by Brent's method (:func:`_first_root`; a coupling with no
-    threshold bounds no cell).  When it only approaches the target
-    asymptotically (the threshold ratio saturates at strong coupling),
+    threshold, or one undefined there, bounds no cell).  When it only
+    approaches the target asymptotically (the threshold ratio saturates
+    at strong coupling),
     the smallest coupling whose ratio sits within half the tolerance
     (0.5%) of the target is returned instead.  Raises
     :class:`CalibrationError` carrying the sampled (coupling, ratio)
@@ -1269,7 +1306,7 @@ def calibrate_coupling(
                     ).g_th
                     for p in (off, on)
                 )
-            except NoThresholdError:
+            except (NoThresholdError, DegenerateParameterError):
                 thresholds[coupling] = None
         pair = thresholds[coupling]
         return None if pair is None else pair[0] / pair[1]

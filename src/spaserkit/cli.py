@@ -27,9 +27,11 @@ time (``_chunk``).  A chunk's points run as lanes
 (``analysis._run_lanes``): each point runs its own scalar code, and the
 block solves and spectra of all the chunk's points go to NumPy as one
 stacked call per round, which gives each point the bits it would get
-alone.  ``steady-sweep`` and ``stability`` points do all their linear
-algebra this way; the root finding of ``threshold`` and the time
-stepping of ``trajectory`` run one point after another.  The worker
+alone.  A point runs an analysis function's lane, its ``.lane``, through
+``_lane``; a function without one is called once per point.
+``steady-sweep`` and ``stability`` points do all their linear algebra
+this way; the root finding of ``threshold`` and the time stepping of
+``trajectory`` run one point after another.  The worker
 also renders each point's rows in the output format, the point's axis
 cells written once for all of them (``tables.render_rows``), and records
 the warnings the point raised.  The calling process collects the lines,
@@ -62,7 +64,7 @@ from .analysis import (
 )
 from .config import PRESETS, RunConfig, parse_config, resolved_config_dict
 from .dynamics import integrate
-from .errors import CalibrationError, ConfigError, NoThresholdError, SpaserError
+from .errors import ConfigError, NoThresholdError, SpaserError
 from .params import ModelParams, get_param, param_unit, set_param
 from .state import SpaserState
 from .tables import SweepTable, build_metadata, render_rows, write_table
@@ -284,9 +286,9 @@ def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
             omega_a_on=cal.omega_a_on,
             bracket=cal.bracket,
         )
-    except CalibrationError as exc:
+    except SpaserError as exc:  # a detuned drive, say, as well as a missed target
         print(f"calibration failed: {exc}", file=sys.stderr)
-        curve = exc.curve or []
+        curve = getattr(exc, "curve", [])
         table = SweepTable(
             columns=(("omega_b_single", "rad/s"), ("threshold_ratio", "1")),
             rows=tuple((w, r) for w, r in curve),

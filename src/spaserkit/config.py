@@ -8,9 +8,10 @@ A config file is a JSON object with (all optional) sections:
     (rad/s) or ``{"value": x, "unit": "eV"|"rad/s"}``.
     ``frame.nu_ref`` additionally accepts the string ``"auto"``
     (default), meaning: rotate each grid point at its own
-    self-consistent spasing frequency.  ``trajectory`` and
-    ``stability`` read the frame; the other commands print
-    frame-independent numbers.
+    self-consistent spasing frequency.  A ``frame.nu_ref`` sweep axis
+    fixes the frame at each point's value, as a number there does.
+    ``trajectory`` and ``stability`` read the frame; the other commands
+    print frame-independent numbers.
 ``sweep``
     Up to three axes, each ``{"path": "gain.pump_g", "min": a,
     "max": b, "n": k}`` (linear grid) or ``{"path": ..., "values":
@@ -350,6 +351,8 @@ def build_config(data: dict) -> RunConfig:
         if axis.path in seen:
             raise ConfigError(f"'sweep': duplicate axis path {axis.path!r}")
         seen.add(axis.path)
+    if "frame.nu_ref" in seen:  # a swept frame is fixed at each point's value
+        frame_auto = False
 
     return RunConfig(
         model=model,

@@ -429,8 +429,9 @@ def integrate(
     During the run it raises :class:`StiffnessError` on step-size underflow,
     :class:`TraceDriftError` if |trace(rho) - 1| exceeds 1e-6 (the
     start state must meet the same bound),
-    and :class:`IntegrationError` if populations leave [0, 1] by more
-    than max(1e-6, 10*rel_tol) or the step budget is exhausted.
+    and :class:`IntegrationError` if the first step's size overflows,
+    populations leave [0, 1] by more than max(1e-6, 10*rel_tol) or the
+    step budget is exhausted.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise IntegrationError(f"t_end must be a finite time > 0 s, got {t_end!r}")
@@ -458,7 +459,14 @@ def integrate(
     y = _pack(state0)
     k1 = _rhs(y, c)
     n_fev = 1
-    h = _initial_step(y, k1, c, rel_tol, abs_tol, max_step, t_end)
+
+    def _fail(exc_cls, message: str):
+        raise exc_cls(message, t=t, state=_unpack(y))
+
+    try:
+        h = _initial_step(y, k1, c, rel_tol, abs_tol, max_step, t_end)
+    except OverflowError:  # a scaled start-up component squared past the float range
+        _fail(IntegrationError, "no first step: the start-up step-size estimate overflows")
     n_fev += 1
 
     ts: list[float] = [0.0]
@@ -468,9 +476,6 @@ def integrate(
     n_rejected = 0
     facold = 1e-4
     just_rejected = False
-
-    def _fail(exc_cls, message: str):
-        raise exc_cls(message, t=t, state=_unpack(y))
 
     while t < t_end:
         if n_accepted + n_rejected >= max_steps:

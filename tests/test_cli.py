@@ -512,6 +512,26 @@ class TestStability:
         assert auto == rows(nu_s)
         assert auto != rows(default_params().gain.omega21)
 
+    def test_a_swept_frame_is_fixed_and_gives_one_mode_frequency(self, tmp_path):
+        """A ``frame.nu_ref`` axis under the default ``"auto"`` frame: each
+        row is computed in its own frame, which the metadata records, and
+        both rows give the same mode frequency nu_ref - leading_im, on
+        either side of the frame, and the same growth rate."""
+        cfg = write_config(tmp_path, {
+            "sweep": [{"path": "frame.nu_ref", "values": [3.7e15, 3.9e15]}]})
+        out = str(tmp_path / "st.csv")
+        assert entry_point(["stability", "--config", cfg, "--out", out]) == 0
+        table = read_csv(out)
+        assert table.metadata["config"]["model"]["frame"]["nu_ref"] != "auto"
+        nu, gamma_s, leading_im = (
+            [row[table.column_index(name)] for row in table.rows]
+            for name in ("frame.nu_ref", "gamma_s", "leading_im"))
+        assert leading_im[0] < 0.0 < leading_im[1]
+        modes = [n - im for n, im in zip(nu, leading_im)]
+        assert modes[0] == pytest.approx(3.79987e15, rel=1e-5)
+        assert modes[1] == pytest.approx(modes[0], rel=1e-9)
+        assert gamma_s[1] == pytest.approx(gamma_s[0], rel=1e-9)
+
     def test_worker_count_does_not_change_the_bytes(self, tmp_path):
         cfg = write_config(tmp_path, {})
         runs = run_at_workers(cfg, "stability", "--preset", "fig4a")
@@ -617,6 +637,111 @@ class TestCalibrate:
             assert math.isnan(ratio) or ratio < 5.0
 
 
+class TestWrappedNames:
+    """The public lane functions, replaced in ``analysis`` and ``cli`` by
+    plain wrappers with no ``.lane`` (as the benchmark's tracer replaces
+    them): the name a grid point calls is called once per point, and the
+    table keeps its bytes."""
+
+    NAMES = ("growth_rate", "spasing_frequency", "steady_state_numeric",
+             "weak_field_background")
+
+    @pytest.mark.parametrize("command, name", [
+        ("steady-sweep", "steady_state_numeric"), ("stability", "growth_rate")])
+    def test_called_once_per_point(self, tmp_path, capsys, monkeypatch, command, name):
+        cfg = write_config(tmp_path, {"sweep": [
+            {"path": "gain.pump_g", "values": [2e12, 8e12, 2e13]},
+            {"path": "drive.omega_a_rabi", "values": [0.0, 16e12]},
+        ]})
+        argv = [command, "--config", cfg, "--workers", "1"]
+        assert entry_point(argv) == 0
+        plain = strip_timestamp(capsys.readouterr().out)
+        calls = []
+
+        def wrapped(fn, counted):
+            def wrapper(*args, **kwargs):
+                if counted:
+                    calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (analysis, cli):
+            for n in self.NAMES:
+                if hasattr(module, n):
+                    counted = module is cli and n == name
+                    monkeypatch.setattr(module, n, wrapped(getattr(module, n), counted))
+        assert entry_point(argv) == 0
+        assert strip_timestamp(capsys.readouterr().out) == plain
+        assert len(calls) == 6
+
+
+class TestFiniteExtremes:
+    """Every finite config value ends a run with its table or its
+    ``failed at`` lines (exit 0 or 2), never with an error the CLI does
+    not catch."""
+
+    LEAVES = ("gain.omega21", "gain.omega32", "gain.gamma21", "gain.gamma31",
+              "gain.gamma32", "gain.gamma_ph", "gain.pump_g", "plasmon.omega_n",
+              "plasmon.gamma_n", "plasmon.n_p", "plasmon.omega_b_single",
+              "drive.omega_a_rabi", "drive.delta_a")
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    @pytest.mark.filterwarnings("ignore")  # points this far out warn by design
+    def test_each_leaf_at_its_extremes(self, tmp_path, capsys, leaf):
+        """Each model leaf swept at 1e300, 1e200 and 1e-300 through
+        ``steady-sweep`` and ``threshold`` (drive 16e12) and ``stability``:
+        one row per run, a NaN row where the point fails."""
+        for value in (1e300, 1e200, 1e-300):
+            for command in ("steady-sweep", "stability", "threshold"):
+                data = {"sweep": [{"path": leaf, "values": [value]}]}
+                if command != "stability" and leaf != "drive.omega_a_rabi":
+                    data["model"] = {"drive": {"omega_a_rabi": 16e12}}
+                cfg = write_config(tmp_path, data)
+                code = entry_point([command, "--config", cfg, "--workers", "1"])
+                assert code in (0, 2), (command, value)
+                assert len(data_lines(capsys.readouterr().out)) == 2, (command, value)
+
+    def test_a_non_finite_spasing_frequency_is_none(self, tmp_path):
+        """Undriven at gamma_n 1e300 the weighted-mean frequency overflows:
+        the zero-branch row has nu_s NaN, not inf."""
+        cfg = write_config(tmp_path, {
+            "sweep": [{"path": "plasmon.gamma_n", "values": [1e300]}]})
+        out = str(tmp_path / "ss.csv")
+        assert entry_point(["steady-sweep", "--config", cfg, "--out", out]) == 0
+        (row,) = read_csv(out).rows
+        assert row[1] == 0.0 and math.isnan(row[4]) and row[5] == 1
+
+    @pytest.mark.parametrize("frame", ["auto", 3.8e15])
+    # the auto frame, with no spasing frequency there, warns and rotates at omega21
+    @pytest.mark.filterwarnings("ignore::spaserkit.errors.RegimeWarning")
+    def test_a_first_step_that_overflows_fails_the_point(self, tmp_path, capsys, frame):
+        cfg = write_config(tmp_path, {
+            "model": {"gain": {"pump_g": 8e12}, "frame": {"nu_ref": frame}},
+            "sweep": [{"path": "drive.omega_a_rabi", "values": [1e300]}],
+            "trajectory": {"t_end": {"value": 0.01, "unit": "ps"}},
+        })
+        assert entry_point(["trajectory", "--config", cfg, "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "trajectory failed at drive.omega_a_rabi=1e+300: no first step" in err
+
+    def test_a_coupling_without_a_defined_threshold_bounds_no_cell(self, tmp_path):
+        """Couplings up to 1e300 rad/s: past ~1e154 the threshold is
+        undefined (the coupling's square overflows), and the calibration
+        goes on over the other couplings."""
+        cfg = write_config(tmp_path, {"calibrate": {"bracket": [1e12, 1e300]}})
+        out = str(tmp_path / "cal.csv")
+        assert entry_point(["calibrate", "--config", cfg, "--out", out]) == 0
+        (row,) = read_csv(out).rows
+        assert row[1] == pytest.approx(2.0, rel=0.01)
+
+    def test_a_detuned_drive_fails_the_calibration(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": {"drive": {"delta_a": 1e12}}})
+        out = str(tmp_path / "cal.csv")
+        assert entry_point(["calibrate", "--config", cfg, "--out", out]) == 2
+        assert "calibration failed: " in capsys.readouterr().err
+        assert read_csv(out).rows == ()
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         code = entry_point(
@@ -705,7 +830,9 @@ class TestErrors:
 
 class TestKnobInventory:
     """Every option each subcommand accepts.  A new knob must show up here;
-    one that a command does not read is a usage error, never ignored."""
+    one that a command does not read is a usage error, never ignored, with
+    one exception: ``calibrate`` accepts and ignores ``--workers``, because
+    the benchmark loop (``bench/loop.py``) passes it to every command."""
 
     COMMON = {"help", "config", "out", "format", "workers", "preset"}
     EXPECTED = {

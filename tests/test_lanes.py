@@ -2,6 +2,7 @@
 result bit for bit its one-lane result."""
 
 import dataclasses
+import inspect
 import random
 import warnings
 
@@ -96,6 +97,22 @@ def test_chunks_of_lanes_equal_one_lane_calls(random_sets, form):
         assert errors.count(DegenerateParameterError) >= len(DEGENERATE)
     if form is analysis.steady_state_numeric:
         assert errors.count(ConvergenceError) == 25
+
+
+@pytest.mark.parametrize("form", LANE_FUNCTIONS, ids=lambda f: f.__name__)
+def test_a_public_function_is_its_lane(form):
+    """The function has its lane's name, docstring and signature, takes its
+    argument by keyword too, and gives the bits of its lane run alone or
+    among other lanes."""
+    lane = form.lane
+    assert form.__name__ == lane.__name__
+    assert form.__doc__ == lane.__doc__
+    assert inspect.signature(form) == inspect.signature(lane)
+    points = [default_params(pump_g=g, omega_a_rabi=16e12) for g in (2e12, 8e12, 2e13)]
+    results = [bits(form(p)) for p in points]
+    assert [bits(form(params=p)) for p in points] == results
+    outcomes, _ = analysis._run_lanes([lane(p) for p in points])
+    assert [bits(o) for o in outcomes] == results
 
 
 def test_a_singular_block_falls_back_per_request(monkeypatch):
