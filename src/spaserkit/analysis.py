@@ -594,6 +594,7 @@ def spasing_frequency(params: ModelParams) -> float:
     )
 
 
+# for steady_state_numeric's lane; bound here, not looked up at call time
 _frequency_lane = spasing_frequency.lane
 
 
