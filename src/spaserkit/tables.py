@@ -6,19 +6,19 @@ metadata as leading ``#`` comment lines (the timestamp on its own line
 so consumers can diff files modulo that line); JSON files are a single
 object ``{"metadata": ..., "columns": ..., "rows": ...}``.
 
-Cells are formatted in one place, :func:`render_row`, which gives one
-row's text exactly as the whole document carries it.  A table row may
-therefore be a tuple of cells or a line ``render_row`` already made: the
-CLI renders each grid point's rows in the worker that computed them and
-hands the lines to :func:`write_table`, which writes them as they are.
-The rows of one grid point share their axis cells; :func:`render_rows`
-writes that shared text once and joins it to each row's, so its lines
-are ``render_row``'s, byte for byte.
+Rows are rendered in one place, :func:`render_rows`: the lines of a grid
+point's rows, which share their axis cells, exactly as the whole
+document carries them, the shared text made once.  :func:`render_row`
+is its one-row case.  Each output format is one entry of ``_FORMATS``:
+its document, its cell rule and the text around a row's cells.  A table
+row may be a tuple of cells or a line already rendered: the CLI renders
+each grid point's rows in the worker that computed them and hands the
+lines to :func:`write_table`, the one renderer of a whole document,
+which writes them as they are.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -33,10 +33,8 @@ __all__ = [
     "build_metadata",
     "config_hash",
     "write_table",
-    "render_csv",
     "render_row",
     "render_rows",
-    "render_json",
     "read_csv",
     "read_json",
 ]
@@ -48,7 +46,7 @@ class SweepTable:
 
     ``columns`` are ``(name, unit)`` pairs; the unit string "1" marks a
     dimensionless column.  A row is a tuple of cells or, as the CLI
-    builds them, the ``str`` that :func:`render_row` made of one.
+    builds them, the ``str`` that :func:`render_rows` made of one.
     """
 
     columns: tuple[tuple[str, str], ...]
@@ -110,59 +108,38 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-@functools.cache
-def _float_row(ncells: int) -> str:
-    # one "%" per row of plain floats: "%.17g" % x is _format_cell(x) for any float
-    return ",".join(["%.17g"] * ncells) + "\n"
-
-
-# the text of a JSON row before its first cell, between two cells, after its last
-_JSON_OPEN, _JSON_SEP, _JSON_CLOSE = "  [\n   ", ",\n   ", "\n  ]"
-
-
 def render_row(cells, fmt: str) -> str:
-    """One data row, exactly as the table renderers write it.
-
-    A CSV row is its cells joined by commas, with its newline.  A JSON
-    row is the row's list at indent 2 of the document, without the
-    ``",\n"`` that separates it from the next; NaN becomes null and a
-    bool 0/1.
-    """
-    if fmt == "csv":
-        if {float}.issuperset(map(type, cells)):
-            return _float_row(len(cells)) % tuple(cells)
-        return ",".join(_format_cell(cell) for cell in cells) + "\n"
-    if fmt == "json":
-        if not cells:
-            return "  []"
-        return _JSON_OPEN + _JSON_SEP.join(map(_json_cell, cells)) + _JSON_CLOSE
-    raise ConfigError(f"unknown output format {fmt!r}")
+    """One data row, exactly as the whole document carries it:
+    ``render_rows((), (cells,), fmt)[0]``."""
+    return render_rows((), (cells,), fmt)[0]
 
 
 def render_rows(head: tuple, rows, fmt: str) -> list[str]:
-    """``[render_row(head + tuple(row), fmt) for row in rows]`` for a
-    sequence of rows that share their first cells ``head`` (a grid
-    point's axis values), with the text of ``head`` made once.
+    """The lines of ``head + tuple(row)`` for each row of a sequence of rows
+    that share their first cells ``head`` (a grid point's axis values),
+    with the text of ``head`` made once.
 
-    Each line is the text ``render_row`` makes of ``head`` joined to the
-    text it makes of the row, so a cell is still written by its one rule.
-    When the rows all have one nonzero length and only ``float`` cells, a
-    CSV line is one ``%`` on a template that already holds ``head``.
+    A line is the format's opening text, the cells joined by its
+    separator, then its closing text; a line with no cells is the
+    format's empty row.  A CSV line ends in its newline; a JSON line is
+    the row's list at indent 2 of the document, without the ``",\n"``
+    that separates it from the next.  When the rows all have one nonzero
+    length and only ``float`` cells, a CSV line is one ``%`` on a
+    template that already holds ``head``: ``"%.17g" % x`` is
+    ``_format_cell(x)`` for any float.
     """
-    if not head:
-        return [render_row(row, fmt) for row in rows]
-    alone = render_row(head, fmt)  # the line of an empty row
-    if fmt == "csv":
-        lead, skip = alone[:-1] + ",", 0
-        width = len(rows[0]) if rows else 0
-        if width and {width} == {*map(len, rows)} and {float}.issuperset(
-            map(type, itertools.chain.from_iterable(rows))
-        ):
-            template = lead.replace("%", "%%") + _float_row(width)
-            return [template % tuple(row) for row in rows]
-    else:
-        lead, skip = alone[: -len(_JSON_CLOSE)] + _JSON_SEP, len(_JSON_OPEN)
-    return [lead + render_row(row, fmt)[skip:] if row else alone for row in rows]
+    _, rule, float_spec, opening, sep, closing, empty = _format(fmt)
+    cell = globals()[rule]  # looked up here, so a patched rule is used
+    head_cells = [cell(value) for value in head]
+    lead = opening + "".join(text + sep for text in head_cells)
+    width = len(rows[0]) if rows else 0
+    if float_spec and width and {width} == {*map(len, rows)} and {float}.issuperset(
+        map(type, itertools.chain.from_iterable(rows))
+    ):
+        template = lead.replace("%", "%%") + sep.join([float_spec] * width) + closing
+        return [template % tuple(row) for row in rows]
+    alone = opening + sep.join(head_cells) + closing if head else empty
+    return [lead + sep.join(map(cell, row)) + closing if row else alone for row in rows]
 
 
 def _rendered(rows, fmt: str):
@@ -206,15 +183,20 @@ def _json_parts(table: SweepTable) -> list[str]:
     return parts
 
 
-_PARTS = {"csv": _csv_parts, "json": _json_parts}
+# per format: its document, part by part; the name of its cell rule, looked
+# up at each call; a "%" spec that writes any float as that rule does, or
+# None; the text before a row's first cell, between two cells and after its
+# last; and the line of a row with no cells
+_FORMATS = {
+    "csv": (_csv_parts, "_format_cell", "%.17g", "", ",", "\n", "\n"),
+    "json": (_json_parts, "_json_cell", None, "  [\n   ", ",\n   ", "\n  ]", "  []"),
+}
 
 
-def render_csv(table: SweepTable) -> str:
-    return "".join(_csv_parts(table))
-
-
-def render_json(table: SweepTable) -> str:
-    return "".join(_json_parts(table))
+def _format(fmt: str) -> tuple:
+    if fmt not in _FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
+    return _FORMATS[fmt]
 
 
 def write_table(table: SweepTable, path: str | None, fmt: str) -> str:
@@ -224,9 +206,7 @@ def write_table(table: SweepTable, path: str | None, fmt: str) -> str:
     The file is written part by part, so the whole document is held once,
     as the returned string.
     """
-    if fmt not in _PARTS:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    parts = _PARTS[fmt](table)
+    parts = _format(fmt)[0](table)
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(parts)
@@ -243,7 +223,7 @@ def _parse_cell(text: str):
 
 
 def read_csv(path: str) -> SweepTable:
-    """Parse a table written by :func:`render_csv` (numbers as floats)."""
+    """Parse a CSV table written by :func:`write_table` (numbers as floats)."""
     metadata: dict = {}
     header: list[str] | None = None
     rows: list[tuple] = []
@@ -275,7 +255,7 @@ def read_csv(path: str) -> SweepTable:
 
 
 def read_json(path: str) -> SweepTable:
-    """Parse a table written by :func:`render_json`."""
+    """Parse a JSON table written by :func:`write_table`."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     columns = tuple((c["name"], c["unit"]) for c in payload["columns"])

@@ -21,8 +21,6 @@ from spaserkit.tables import (
     config_hash,
     read_csv,
     read_json,
-    render_csv,
-    render_json,
     render_row,
     render_rows,
     write_table,
@@ -95,12 +93,12 @@ def sample_table(timestamp="2026-01-02T03:04:05+00:00"):
 
 class TestCsv:
     def test_column_labels_carry_units(self):
-        text = render_csv(sample_table())
+        text = write_table(sample_table(), None, "csv")
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == "pump_g (rad/s),N_n (1),stable (1)"
 
     def test_floats_use_17_significant_digits(self):
-        text = render_csv(sample_table())
+        text = write_table(sample_table(), None, "csv")
         assert "0.33333333333333331" in text
         assert "47.304858591912968" in text
 
@@ -113,21 +111,21 @@ class TestCsv:
         assert math.isnan(back.rows[1][1])
 
     def test_booleans_written_as_integers(self):
-        lines = [l for l in render_csv(sample_table()).splitlines()
+        lines = [l for l in write_table(sample_table(), None, "csv").splitlines()
                  if not l.startswith("#")]
         assert lines[1].endswith(",1")
         assert lines[2].endswith(",0")
 
     def test_metadata_keys_sorted_with_timestamp_last(self):
-        meta_lines = [l for l in render_csv(sample_table()).splitlines()
+        meta_lines = [l for l in write_table(sample_table(), None, "csv").splitlines()
                       if l.startswith("#")]
         keys = [l.split(":", 1)[0].removeprefix("# ") for l in meta_lines]
         assert keys[-1] == "timestamp"
         assert keys[:-1] == sorted(keys[:-1])
 
     def test_byte_stable_modulo_timestamp(self):
-        a = render_csv(sample_table(timestamp="2026-01-01T00:00:00+00:00"))
-        b = render_csv(sample_table(timestamp="2026-12-31T23:59:59+00:00"))
+        a = write_table(sample_table(timestamp="2026-01-01T00:00:00+00:00"), None, "csv")
+        b = write_table(sample_table(timestamp="2026-12-31T23:59:59+00:00"), None, "csv")
         assert strip_timestamp(a) == strip_timestamp(b)
         assert a != b
 
@@ -174,7 +172,7 @@ class TestWholeRowFormatting:
             return _format_cell(value)
 
         monkeypatch.setattr(tables, "_format_cell", recording)
-        text = render_csv(SweepTable(columns=FOUR_FLOATS, rows=rows))
+        text = write_table(SweepTable(columns=FOUR_FLOATS, rows=rows), None, "csv")
         assert body(text) == expected
         # every cell of the first five rows, none of the two all-float rows
         # (a row is rendered without the table, so a short one is no exception)
@@ -255,16 +253,16 @@ class TestPointRows:
 
 class TestJson:
     def test_nan_becomes_null(self):
-        payload = json.loads(render_json(sample_table()))
+        payload = json.loads(write_table(sample_table(), None, "json"))
         assert payload["rows"][1][1] is None
 
     def test_booleans_become_integers(self):
-        payload = json.loads(render_json(sample_table()))
+        payload = json.loads(write_table(sample_table(), None, "json"))
         assert payload["rows"][0][2] == 1
         assert payload["rows"][1][2] == 0
 
     def test_columns_carry_names_and_units(self):
-        payload = json.loads(render_json(sample_table()))
+        payload = json.loads(write_table(sample_table(), None, "json"))
         assert payload["columns"][0] == {"name": "pump_g", "unit": "rad/s"}
 
     def test_round_trip(self, tmp_path):
@@ -297,7 +295,7 @@ class TestCrossFormat:
 
     def test_write_without_path_only_renders(self):
         text = write_table(sample_table(), None, "csv")
-        assert text == render_csv(sample_table())
+        assert text == seed_render_csv(sample_table())
 
 
 class TestMetadata:
