@@ -23,8 +23,9 @@ as a *lane*: a generator that runs the point's scalar code (seed ladder,
 damped Newton, root choice) and yields each block solve, eigenproblem
 and companion-matrix spectrum instead of calling NumPy.  ``_one_lane``
 answers a lane's requests one NumPy call each.  A public function that
-is one such algorithm (``growth_rate``, ``spasing_frequency``,
-``steady_state_numeric``, ``weak_field_background``) is its lane,
+is one such algorithm (``frame_at_spasing_frequency``, ``growth_rate``,
+``spasing_frequency``, ``steady_state_numeric``,
+``weak_field_background``) is its lane,
 decorated by ``_lane_function``: calling it runs the lane through
 ``_one_lane``, and its ``.lane`` attribute is the lane itself.
 ``_run_lanes`` runs many lanes together and answers the same-shaped
@@ -594,24 +595,27 @@ def spasing_frequency(params: ModelParams) -> float:
     )
 
 
-# for steady_state_numeric's lane; bound here, not looked up at call time
+# for the lanes of steady_state_numeric and frame_at_spasing_frequency; bound
+# here, not looked up at call time
 _frequency_lane = spasing_frequency.lane
 
 
+@_lane_function
 def frame_at_spasing_frequency(params: ModelParams) -> ModelParams:
     """Copy of ``params`` rotating at the self-consistent spasing frequency.
 
-    Falls back to the spasing transition frequency (with a warning) when
-    the frequency is undefined for these parameters.
+    Falls back to the spasing transition frequency when the frequency is
+    undefined for these parameters, with a :class:`RegimeWarning` that
+    names the first line outside this module, the caller's.
     """
     try:
-        nu = spasing_frequency(params)
+        nu = yield from _frequency_lane(params)
     except _NO_SPASING_FREQUENCY as exc:
         warnings.warn(
             f"spasing frequency unavailable ({exc}); rotating at the "
             "spasing transition frequency instead",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(__name__),
         )
         nu = params.gain.omega21
     return set_param(params, "frame.nu_ref", nu)

@@ -9,7 +9,8 @@ Each of the four grid commands is one entry of ``_GRIDS``: what one grid
 point computes, the table's columns, the axis counts it accepts, and
 what a failed point becomes (a NaN row, or a ``<command> failed at``
 line on stderr for ``trajectory``).  One runner, ``_run_grid``, runs
-every entry.  ``calibrate`` is not a grid; it runs in the calling process.  The
+every entry.  ``calibrate`` is not a grid; it runs in the calling process
+and takes no sweep axes, checked by the grids' axis-count rule.  The
 ``--workers``, ``--tol`` and ``--seed-amplitude`` flags replace the
 file's ``options`` values before the config check, their only check.
 
@@ -30,11 +31,13 @@ stacked call per round, which gives each point the bits it would get
 alone.  A point runs an analysis function's lane, its ``.lane``, through
 ``_lane``; a function without one is called once per point.
 ``steady-sweep`` and ``stability`` points do all their linear algebra
-this way; the root finding of ``threshold`` and the time stepping of
-``trajectory`` run one point after another.  The worker
-also renders each point's rows in the output format, the point's axis
-cells written once for all of them (``tables.render_rows``), and records
-the warnings the point raised.  The calling process collects the lines,
+this way, the auto frame's spasing frequency included, and so do the
+auto frame and weak-field background of a ``trajectory`` point; the root
+finding of ``threshold`` and the time stepping of ``trajectory`` run one
+point after another.  The worker also renders each point's rows in the
+output format with the one row renderer, ``tables.render_rows``, the
+point's axis cells written once for all of them, and records the
+warnings the point raised.  The calling process collects the lines,
 the ``failed at`` messages and the warnings in axis order, prints each
 warning message once with the file and line that raised it, and writes
 the lines: output and stderr are the same for any worker count.
@@ -146,8 +149,9 @@ class _Grid:
     ``compute(params, config)`` is the lane that gives the rows of one
     point, and ``columns`` their names and units.  Each row starts with
     the swept values; the parameters of ``lead`` (path, column name) come
-    after the other axes, swept or not.  ``axes`` is the (min, max) number of sweep axes, and
-    the only statement of that rule: ``_run_grid`` words its error from it.
+    after the other axes, swept or not.  ``axes`` is the (min, max) number
+    of sweep axes, and the only statement of that rule: ``_check_axes``
+    words its error from it.
     A point that raises a :class:`SpaserError` becomes the row ``failed``
     or, when that is None, a ``<command> failed at`` line on stderr; it
     makes the run partial (exit 2) unless the error is a ``sentinel``.
@@ -239,14 +243,25 @@ def _chunk(tasks: list) -> list:
     ]
 
 
+def _check_axes(command: str, config: RunConfig, least: int, most: int) -> None:
+    """Reject a config with fewer than ``least`` or more than ``most`` sweep
+    axes, the message worded from those counts."""
+    if least <= len(config.axes) <= most:
+        return
+    if not most:
+        rule = "takes no"
+    elif least:
+        rule = f"needs between {least} and {most}"
+    else:
+        rule = f"supports at most {most}"
+    raise ConfigError(f"{command} {rule} sweep ax{'is' if most == 1 else 'es'}")
+
+
 def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bool]:
     """Every point of the grid in lexicographic axis order, as one table
     whose rows are already rendered in ``fmt``."""
     grid = _GRIDS[command]
-    least, most = grid.axes
-    if not least <= len(config.axes) <= most:
-        rule = f"needs between {least} and {most}" if least else f"supports at most {most}"
-        raise ConfigError(f"{command} {rule} sweep ax{'is' if most == 1 else 'es'}")
+    _check_axes(command, config, *grid.axes)
     points = list(itertools.product(*(axis.values for axis in config.axes)))
     tasks = [(command, config, values, fmt) for values in points]
     results = _map_chunks(tasks, config.resolved_workers())
@@ -277,6 +292,7 @@ def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bo
 
 
 def _cmd_calibrate(config: RunConfig) -> tuple[SweepTable, bool]:
+    _check_axes("calibrate", config, 0, 0)  # one point, the config's model
     meta = build_metadata("calibrate", resolved_config_dict(config))
     cal = config.calibrate
     try:

@@ -637,6 +637,24 @@ class TestCalibrate:
             assert math.isnan(ratio) or ratio < 5.0
 
 
+    @pytest.mark.parametrize("data, preset", [
+        ({"sweep": [{"path": "gain.pump_g", "values": [1e12, 2e12, 3e12]}]}, None),
+        ({}, "fig2"),
+    ], ids=["file", "preset"])
+    def test_sweep_axes_are_rejected(self, tmp_path, capsys, data, preset):
+        """``calibrate`` fits one point, the config's model: a sweep axis,
+        from the file or from a preset, is a config error, not a grid it
+        ignores, and no table is written."""
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "cal.csv"
+        argv = ["calibrate", "--config", cfg, "--out", str(out)]
+        if preset is not None:
+            argv += ["--preset", preset]
+        assert entry_point(argv) == 1
+        assert capsys.readouterr().err == "error: calibrate takes no sweep axes\n"
+        assert not out.exists()
+
+
 class TestWrappedNames:
     """The public lane functions, replaced in ``analysis`` and ``cli`` by
     plain wrappers with no ``.lane`` (as the benchmark's tracer replaces
@@ -832,7 +850,9 @@ class TestKnobInventory:
     """Every option each subcommand accepts.  A new knob must show up here;
     one that a command does not read is a usage error, never ignored, with
     one exception: ``calibrate`` accepts and ignores ``--workers``, because
-    the benchmark loop (``bench/loop.py``) passes it to every command."""
+    the benchmark loop (``bench/loop.py``) passes it to every command.  A
+    sweep axis, which ``calibrate`` does not read either, is an error there
+    (``TestCalibrate.test_sweep_axes_are_rejected``)."""
 
     COMMON = {"help", "config", "out", "format", "workers", "preset"}
     EXPECTED = {

@@ -3,15 +3,23 @@ result bit for bit its one-lane result."""
 
 import dataclasses
 import inspect
+import json
 import random
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import make_params
-from spaserkit import analysis
-from spaserkit.errors import ConvergenceError, DegenerateParameterError, SpaserError
+from spaserkit import analysis, cli
+from spaserkit.config import parse_config
+from spaserkit.errors import (
+    ConvergenceError,
+    DegenerateParameterError,
+    RegimeWarning,
+    SpaserError,
+)
 from spaserkit.params import default_params
 from test_steady_state import random_params
 
@@ -201,6 +209,60 @@ def test_a_chunk_stacks_its_block_solves(monkeypatch):
     for p in points:
         analysis.steady_state_numeric(p)
     assert len(calls) > 10 * len(points)
+
+
+def test_a_stability_chunk_stacks_its_spectra(tmp_path, monkeypatch):
+    """A ``stability`` chunk of driven points in the auto frame makes fewer
+    ``np.linalg.eigvals`` calls than it has points, because the frame's
+    spasing frequency runs as a lane too; one point at a time, each point
+    makes its own.  The rendered rows are the same either way."""
+    pumps = np.linspace(6e12, 2e13, 12).tolist()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"drive": {"omega_a_rabi": 16e12}},
+                                "sweep": [{"path": "gain.pump_g", "values": pumps}]}))
+    config = parse_config(str(path))
+    assert config.frame_auto
+    tasks = [("stability", config, (g,), "csv") for g in pumps]
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    together = cli._chunk(tasks)
+    assert len(calls) < len(tasks)
+    calls.clear()
+    alone = [outcome for task in tasks for outcome in cli._chunk([task])]
+    assert len(calls) >= len(tasks)
+    assert together == alone
+
+
+def test_the_frame_helper_is_its_lane():
+    """On a detuned drive ``frame_at_spasing_frequency`` rotates at the
+    transition frequency and warns at the caller's line; its ``.lane``, run
+    among other lanes, gives the bits of each call."""
+    frame = analysis.frame_at_spasing_frequency
+    detuned = make_params(delta_a=2e12, omega_a_rabi=4e12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        framed = frame(detuned)
+    assert framed.frame.nu_ref == detuned.gain.omega21
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (RegimeWarning, __file__, line)
+    ]
+    points = [detuned] + [default_params(pump_g=g, omega_a_rabi=16e12)
+                          for g in (2e12, 8e12, 2e13)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        results = [bits(frame(p)) for p in points]
+        outcomes, _ = analysis._run_lanes([frame.lane(p) for p in points])
+    assert [bits(o) for o in outcomes] == results
+    assert [o.frame.nu_ref for o in outcomes[1:]] == [
+        analysis.spasing_frequency(p) for p in points[1:]
+    ]
 
 
 def test_warnings_are_told_apart_by_lane():

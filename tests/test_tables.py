@@ -217,6 +217,20 @@ class TestRowByRowRendering:
             render_row((0.5,), "parquet")
 
 
+class TestOneRowRenderer:
+    """``render_row`` is the one-row case of ``render_rows``, and an empty
+    row after a head is the head's own line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(CELLS, max_size=5).map(tuple))
+    @example(cells=())
+    @example(cells=(0.5, math.nan, -0.0))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_render_row_is_the_one_row_case(self, fmt, cells):
+        assert render_row(cells, fmt) == render_rows((), [cells], fmt)[0]
+        assert render_rows(cells, [()], fmt) == [render_row(cells, fmt)]
+
+
 # rows of mixed cells, or of plain floats of one width (the CSV template's case)
 POINT_ROWS = st.one_of(
     st.lists(st.lists(CELLS, max_size=5), max_size=6),
