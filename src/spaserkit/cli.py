@@ -244,17 +244,11 @@ def _chunk(tasks: list) -> list:
 
 
 def _check_axes(command: str, config: RunConfig, least: int, most: int) -> None:
-    """Reject a config with fewer than ``least`` or more than ``most`` sweep
-    axes, the message worded from those counts."""
-    if least <= len(config.axes) <= most:
-        return
-    if not most:
-        rule = "takes no"
-    elif least:
-        rule = f"needs between {least} and {most}"
-    else:
-        rule = f"supports at most {most}"
-    raise ConfigError(f"{command} {rule} sweep ax{'is' if most == 1 else 'es'}")
+    """The one check of a command's number of sweep axes, ``least`` to ``most``."""
+    if not least <= len(config.axes) <= most:
+        rule = ("takes no" if not most else f"needs between {least} and {most}"
+                if least else f"supports at most {most}")
+        raise ConfigError(f"{command} {rule} sweep ax{'is' if most == 1 else 'es'}")
 
 
 def _run_grid(command: str, config: RunConfig, fmt: str) -> tuple[SweepTable, bool]:
