@@ -636,7 +636,6 @@ class TestCalibrate:
         for _w, ratio in table.rows:
             assert math.isnan(ratio) or ratio < 5.0
 
-
     @pytest.mark.parametrize("data, preset", [
         ({"sweep": [{"path": "gain.pump_g", "values": [1e12, 2e12, 3e12]}]}, None),
         ({}, "fig2"),
