@@ -22,9 +22,13 @@ sentinel: its NaN row exits 0.  Any other error at a point, such as a
 swept value the model rejects, also writes the NaN row but exits 2.
 
 Grid points (for ``trajectory``, its axis values) are cut, in
-lexicographic axis order, into chunks of max(1, n // (4 workers)), and a
-pool of workers, sharing only the immutable config, takes one chunk at a
-time (``_chunk``).  A chunk's points run as lanes
+lexicographic axis order, into chunks of max(1, n // (4 workers)), and
+chunk k runs in process k mod workers (``_map_chunks``).  Process 0 is
+the calling process; each other share runs in a helper forked once the
+chunks are cut, so the helpers share the immutable config and no task
+is pickled, and each sends back its points' outcomes over a pipe.
+``--workers N`` is N processes that compute points, this one included,
+and ``--workers 1`` starts no helper.  A chunk's points run as lanes
 (``analysis._run_lanes``): each point runs its own scalar code, and the
 block solves and spectra of all the chunk's points go to NumPy as one
 stacked call per round, which gives each point the bits it would get
@@ -34,13 +38,14 @@ alone.  A point runs an analysis function's lane, its ``.lane``, through
 this way, the auto frame's spasing frequency included, and so do the
 auto frame and weak-field background of a ``trajectory`` point; the root
 finding of ``threshold`` and the time stepping of ``trajectory`` run one
-point after another.  The worker also renders each point's rows in the
-output format with the one row renderer, ``tables.render_rows``, the
-point's axis cells written once for all of them, and records the
-warnings the point raised.  The calling process collects the lines,
-the ``failed at`` messages and the warnings in axis order, prints each
-warning message once with the file and line that raised it, and writes
-the lines: output and stderr are the same for any worker count.
+point after another.  The process that runs a chunk also renders each
+point's rows in the output format with the one row renderer,
+``tables.render_rows``, the point's axis cells written once for all of
+them, and records the warnings the point raised.  The calling process
+collects the lines, the ``failed at`` messages and the warnings in axis
+order, prints each warning message once with the file and line that
+raised it, and writes the lines: output and stderr are the same for any
+worker count.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import multiprocessing
 import sys
 import warnings
 from collections.abc import Callable, Generator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +81,63 @@ __all__ = ["entry_point", "main"]
 
 def _map_chunks(tasks: list, n_workers: int) -> list:
     """``_chunk`` over the tasks cut into chunks of max(1, n // (4 workers))
-    points, in a pool of ``n_workers`` processes (in this one for a single
-    worker or a single task); the points' outcomes in task order."""
+    points; the points' outcomes in task order.
+
+    Chunk k runs in process k mod workers.  Process 0 is this one; each
+    other share runs in a helper forked after its chunks were cut, so no
+    task is pickled, and the helper sends back its outcomes, or the error
+    that stopped it, over a one-way pipe.  Every helper is joined before
+    this returns or raises, and killed first if it is still running.
+    Without ``fork`` (Windows) every share runs in this process."""
     workers = max(1, min(n_workers, len(tasks)))
+    if "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1
     size = max(1, len(tasks) // (4 * workers))
     chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-    if workers == 1:
-        done = [_chunk(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_chunk, chunks))
+    done: list = [None] * len(chunks)
+    helpers = []
+    try:
+        if workers > 1:
+            fork = multiprocessing.get_context("fork")
+            for k in range(1, workers):
+                receive, send = fork.Pipe(duplex=False)
+                helper = fork.Process(target=_share, args=(chunks[k::workers], send))
+                helper.start()
+                send.close()
+                helpers.append((helper, receive))
+        done[0::workers] = [_chunk(chunk) for chunk in chunks[0::workers]]
+        for k, (helper, receive) in enumerate(helpers, 1):
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(
+                    f"grid helper {k} of {workers - 1} exited with code "
+                    f"{helper.exitcode} before sending its points"
+                ) from None
+            if not ok:
+                raise value
+            done[k::workers] = value
+    finally:
+        for helper, receive in helpers:
+            receive.close()
+            if helper.is_alive():
+                helper.kill()
+            helper.join()
     return [outcome for chunk in done for outcome in chunk]
+
+
+def _share(chunks: list, send) -> None:
+    """A helper's share of ``_map_chunks``: (True, each chunk's outcomes),
+    or (False, the error that stopped it), sent once over ``send``."""
+    try:
+        send.send((True, [_chunk(chunk) for chunk in chunks]))
+    except Exception as exc:  # the caller raises it
+        try:
+            send.send((False, exc))
+        except Exception:  # an error that does not pickle: its type and text
+            send.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    send.close()
 
 
 # --- what one grid point computes ---------------------------------------------
@@ -340,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--workers",
             type=int,
-            help="parallel grid workers" if name in _GRIDS
+            help="processes that compute grid points, this one included"
+            if name in _GRIDS
             else "accepted and ignored: calibrate runs in the calling process",
         )
         if name == "trajectory":

@@ -203,8 +203,10 @@ class RunConfig:
     calibrate: CalibrateOptions
 
     def resolved_workers(self) -> int:
-        """``options.workers``, else the CPUs this process may run on: its
-        affinity mask where the platform has one, else the host's count."""
+        """The number of processes that compute a grid's points, the calling
+        one included: ``options.workers``, else the CPUs this process may
+        run on (its affinity mask where the platform has one, else the
+        host's count)."""
         if self.options.workers is not None:
             return self.options.workers
         if hasattr(os, "sched_getaffinity"):

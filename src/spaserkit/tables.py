@@ -12,7 +12,7 @@ document carries them, the shared text made once.  :func:`render_row`
 is its one-row case.  Each output format is one entry of ``_FORMATS``:
 its document, its cell rule and the text around a row's cells.  A table
 row may be a tuple of cells or a line already rendered: the CLI renders
-each grid point's rows in the worker that computed them and hands the
+each grid point's rows in the process that computed them and hands the
 lines to :func:`write_table`, the one renderer of a whole document,
 which writes them as they are.
 """

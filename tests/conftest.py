@@ -8,6 +8,8 @@ the gate can be read off the log without parsing tracebacks.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 # criterion number -> short label, used for NOT RUN reporting
@@ -72,3 +74,11 @@ def defaults():
     from spaserkit.params import default_params
 
     return default_params()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every grid helper (``cli._map_chunks``) is joined before its command
+    returns or raises, so no test leaves a child process behind."""
+    yield
+    assert multiprocessing.active_children() == []

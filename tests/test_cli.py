@@ -4,9 +4,12 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -652,6 +655,133 @@ class TestCalibrate:
         assert entry_point(argv) == 1
         assert capsys.readouterr().err == "error: calibrate takes no sweep axes\n"
         assert not out.exists()
+
+
+class TestGridHelpers:
+    """``cli._map_chunks``: the calling process runs one share of the
+    chunks and forked helpers run the rest.  The table, stderr, the
+    warnings and the exit code are those of ``--workers 1`` for any grid
+    size against any worker count, and every helper is gone when
+    ``entry_point`` returns or raises, whether its share succeeded,
+    raised or died.  (``conftest.py`` checks after every test that no
+    child process is left.)"""
+
+    # a far frame warns at every point, with the point's own nu_ref in the
+    # message; n_p = 0.5 is a point the model rejects (a NaN row, exit 2)
+    FAR = {"frame": {"nu_ref": 2.3e15}}
+    NU_REF = "frame.nu_ref"
+    GRIDS = {
+        1: ({}, [(NU_REF, [2.3e15])]),
+        2: ({}, [(NU_REF, [2.3e15, 3.8e15])]),
+        3: (FAR, [("plasmon.n_p", [0.5, 6e4, 1e5])]),
+        5: ({}, [(NU_REF, [2.3e15, 2.6e15, 3.0e15, 3.4e15, 3.8e15])]),
+        9: ({}, [(NU_REF, [2.3e15, 2.6e15, 3.8e15]),
+                 ("plasmon.n_p", [0.5, 6e4, 1e5])]),
+    }
+
+    @staticmethod
+    def run(argv, capsys):
+        """Exit code, stdout (timestamp line aside), stderr and the
+        warnings shown, in order, as (message, category, file, line)."""
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code = entry_point(argv)
+        out, err = capsys.readouterr()
+        return (code, strip_timestamp(out), err,
+                [(str(w.message), w.category, w.filename, w.lineno) for w in shown])
+
+    def grid(self, tmp_path, n):
+        model, axes = self.GRIDS[n]
+        return write_config(tmp_path, {
+            "model": {"gain": {"pump_g": 8e12}, **model},
+            "sweep": [{"path": p, "values": v} for p, v in axes]})
+
+    @pytest.mark.parametrize("n", sorted(GRIDS))
+    def test_steady_sweep_is_the_same_for_any_worker_count(self, tmp_path, capsys, n):
+        cfg = self.grid(tmp_path, n)
+        runs = [self.run(["steady-sweep", "--config", cfg, "--workers", w], capsys)
+                for w in ("1", "2", "3", "4")]
+        assert all(run == runs[0] for run in runs[1:])
+        code, out, _, shown = runs[0]
+        assert len(data_lines(out)) == n + 1
+        assert code == (2 if n in (3, 9) else 0)
+        assert len(shown) >= min(n, 3)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_trajectory_is_the_same_for_any_worker_count(self, tmp_path, capsys, fmt):
+        cfg = write_config(tmp_path, SHORT_TRAJECTORY)
+        runs = [self.run(["trajectory", "--config", cfg, "--format", fmt, "--workers", w],
+                         capsys) for w in ("1", "2", "3", "4")]
+        assert all(run == runs[0] for run in runs[1:])
+        assert runs[0][0] == 0
+
+    def share_in_helpers(self, monkeypatch, helper, caller=None):
+        """Replace ``cli._chunk`` (before any fork) by ``helper`` in the
+        helpers and by ``caller`` (else the real one) in this process."""
+        real, parent = cli._chunk, os.getpid()
+
+        def chunk(tasks):
+            if os.getpid() != parent:
+                return helper(tasks)
+            return (caller or real)(tasks)
+
+        monkeypatch.setattr(cli, "_chunk", chunk)
+
+    def argv(self, tmp_path):
+        return ["steady-sweep", "--config", self.grid(tmp_path, 9), "--workers", "3"]
+
+    def test_an_error_in_a_helper_reaches_the_caller(self, tmp_path, monkeypatch):
+        def broken(tasks):
+            raise ValueError(f"no share of {len(tasks)} points")
+
+        self.share_in_helpers(monkeypatch, broken)
+        with pytest.raises(ValueError, match=r"^no share of 1 points$"):
+            entry_point(self.argv(tmp_path))
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_that_does_not_pickle_keeps_its_type_and_text(
+        self, tmp_path, monkeypatch
+    ):
+        class LocalError(Exception):
+            pass
+
+        def broken(tasks):
+            raise LocalError("defined in a test")
+
+        self.share_in_helpers(monkeypatch, broken)
+        with pytest.raises(RuntimeError, match=r"^LocalError: defined in a test$"):
+            entry_point(self.argv(tmp_path))
+
+    def test_a_helper_that_dies_is_named_with_its_exit_code(self, tmp_path, monkeypatch):
+        self.share_in_helpers(monkeypatch, lambda tasks: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            entry_point(self.argv(tmp_path))
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_callers_share_stops_the_helpers(self, tmp_path, monkeypatch):
+        def stuck(tasks):
+            time.sleep(60)
+
+        def broken(tasks):
+            raise ValueError("the caller's share broke")
+
+        self.share_in_helpers(monkeypatch, stuck, broken)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the caller's share broke"):
+            entry_point(self.argv(tmp_path))
+        assert time.perf_counter() - start < 30.0
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_every_share_runs_here(self, tmp_path, capsys, monkeypatch):
+        argv = self.argv(tmp_path)
+        serial = self.run([*argv[:-1], "1"], capsys)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+        def no_context(method=None):
+            raise AssertionError("no helper may start without fork")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        assert self.run(argv, capsys) == serial
 
 
 class TestWrappedNames:
