@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SpaserError",
+    "ConfigError",
+    "InvalidStateError",
+    "DegenerateParameterError",
+    "NonResonantDriveError",
+    "IntegrationError",
+    "StiffnessError",
+    "TraceDriftError",
+    "ConvergenceError",
+    "NoThresholdError",
+    "CalibrationError",
+    "RegimeWarning",
+    "CrossCheckWarning",
+    "BookkeepingWarning",
+]
+
 
 class SpaserError(Exception):
     """Base class for all package specific errors."""

@@ -41,15 +41,6 @@ __all__ = [
     "set_param",
     "param_paths",
     "param_unit",
-    "DEFAULT_OMEGA_N",
-    "DEFAULT_OMEGA_21",
-    "DEFAULT_OMEGA_32",
-    "DEFAULT_GAMMA_N",
-    "DEFAULT_N_P",
-    "DEFAULT_GAMMA_21",
-    "DEFAULT_GAMMA_31",
-    "DEFAULT_GAMMA_32",
-    "DEFAULT_OMEGA_B_SINGLE",
 ]
 
 

@@ -6,6 +6,8 @@ Photon/transition energies given in eV are converted on the way in.
 
 from __future__ import annotations
 
+__all__ = ["HBAR_EV_S", "ev_to_angular", "angular_to_ev"]
+
 #: Reduced Planck constant in eV * s (2018 CODATA, exact by definition).
 HBAR_EV_S = 6.582119569e-16
 

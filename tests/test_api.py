@@ -1,8 +1,14 @@
 """The library's public surface."""
 
+import importlib
 import inspect
 
+import pytest
+
 import spaserkit
+
+#: The modules whose ``__all__`` the package re-exports.
+REEXPORTED = ("analysis", "dynamics", "errors", "params", "state", "units")
 
 
 class TestKnobInventory:
@@ -49,3 +55,32 @@ class TestKnobInventory:
             if inspect.isfunction(obj)
         }
         assert found == self.EXPECTED
+
+
+class TestPublicSurface:
+    """Each re-exported module's ``__all__`` is the one list of its public
+    names, and the package surface is built from those lists."""
+
+    @pytest.mark.parametrize("name", REEXPORTED)
+    def test_module_all_lists_every_public_definition(self, name):
+        module = importlib.import_module(f"spaserkit.{name}")
+        defined = {
+            attr for attr, obj in vars(module).items()
+            if not attr.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert defined - set(module.__all__) == set()
+
+    def test_package_all_is_the_modules_all(self):
+        assert len(spaserkit.__all__) == len(set(spaserkit.__all__))
+        reexported = {"__version__"}.union(*(
+            importlib.import_module(f"spaserkit.{name}").__all__ for name in REEXPORTED
+        ))
+        assert set(spaserkit.__all__) == reexported
+
+    def test_every_name_resolves(self):
+        namespace = {}
+        exec("from spaserkit import *", namespace)
+        for name in spaserkit.__all__:
+            assert namespace[name] is getattr(spaserkit, name)
