@@ -88,9 +88,7 @@ def _format_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
+        return "%.17g" % value
     return str(value)
 
 

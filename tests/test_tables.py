@@ -142,6 +142,25 @@ def body(text: str) -> str:
 FOUR_FLOATS = (("a", "1"), ("b", "1"), ("c", "1"), ("d", "1"))
 
 
+class TestCellFormatting:
+    """A float cell is ``format(x, ".17g")``, which writes any NaN as
+    ``nan``; the oracles above call ``_format_cell`` itself, so this checks
+    it against ``format``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats())
+    @example(value=math.nan)
+    @example(value=-math.nan)
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=0.0)
+    @example(value=-0.0)
+    @example(value=5e-324)
+    @example(value=-5e-324)
+    def test_float_cell_is_format_17g(self, value):
+        assert _format_cell(value) == format(value, ".17g")
+
+
 class TestWholeRowFormatting:
     """Rows of plain floats are formatted in one operation; they must read
     exactly as the per-cell formatter writes them."""
