@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -19,6 +20,7 @@ from helpers import OMEGA_B_CALIBRATED, strip_timestamp
 import spaserkit
 from spaserkit import analysis, cli, tables
 from spaserkit.analysis import (
+    calibrate_coupling,
     frame_at_spasing_frequency,
     growth_rate,
     spasing_frequency,
@@ -27,6 +29,7 @@ from spaserkit.analysis import (
     weak_field_background,
 )
 from spaserkit.cli import entry_point
+from spaserkit.config import CalibrateOptions, RunOptions, TrajectoryOptions
 from spaserkit.dynamics import integrate
 from spaserkit.errors import RegimeWarning
 from spaserkit.params import default_params
@@ -973,6 +976,42 @@ class TestErrors:
         )
         assert entry_point([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def keyword_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+class TestDefaultsMatchTheLibrary:
+    """The config's defaults and the library's keyword defaults are stated
+    apart; a change to one side alone would change only CLI runs or only
+    library runs."""
+
+    def test_calibrate_options(self):
+        options = CalibrateOptions()
+        assert options.bracket == keyword_default(calibrate_coupling, "bracket")
+        assert options.target_ratio == keyword_default(calibrate_coupling, "target_ratio")
+        assert options.omega_a_on == keyword_default(calibrate_coupling, "omega_a_on")
+
+    def test_store_every(self):
+        assert TrajectoryOptions().store_every == keyword_default(integrate, "store_every")
+
+    def test_default_tol_gives_the_integrator_defaults(self, tmp_path, monkeypatch):
+        """``RunOptions().tol`` runs the steps at ``integrate``'s own
+        tolerances, bit for bit."""
+        assert RunOptions().tol == 1e-6
+        seen = []
+
+        def recording_integrate(*args, **kwargs):
+            seen.append((kwargs["rel_tol"], kwargs["abs_tol"]))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        cfg = write_config(tmp_path, {"trajectory": {"t_end": 2e-15}})
+        out = str(tmp_path / "traj.csv")
+        assert entry_point(["trajectory", "--config", cfg, "--out", out, "--workers", "1"]) == 0
+        defaults = (keyword_default(integrate, "rel_tol"), keyword_default(integrate, "abs_tol"))
+        assert [(r.hex(), a.hex()) for r, a in seen] == [tuple(d.hex() for d in defaults)]
 
 
 class TestKnobInventory:
