@@ -30,7 +30,10 @@ A config file is a JSON object with (all optional) sections:
     (``--workers`` on every command; ``calibrate`` ignores it).  A flag
     replaces the file's value before the one check, :func:`build_config`.
 ``threshold``
-    ``bracket``: ``[g_lo, g_hi]`` pump bracket for threshold scans.
+    ``bracket``: ``[g_lo, g_hi]`` pump bracket for threshold scans;
+    ``null`` (the default, and what the table metadata records) means
+    :func:`~spaserkit.analysis.threshold_find`'s default, [1e8, 1e15]
+    rad/s.
 ``calibrate``
     ``bracket`` (coupling bracket ``[w_lo, w_hi]``), ``target_ratio``
     and ``omega_a_on`` for the coupling calibration command.
